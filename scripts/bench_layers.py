@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Per-layer timings of the twin network's convolution and pooling kernels.
+
+Times both convolution algorithms (FFT and direct) on forward, kernel
+gradient (dW) and input gradient (dX) for conv1 and conv2 at two shapes:
+the synthetic criterion-7 net (65x29 images, filters 4/8, k=3 and 5, 32
+images) and the paper net (129x59 images, filters 8/16, k = 3, 5, 12, 96
+images), plus 2x2 max pooling forward and backward on the conv outputs. Each
+figure is the best of --repeats calls, in milliseconds, on one thread pinned
+to one CPU. The `path` column is the algorithm the network uses for the
+layer (fan-in C_in*k*k against DIRECT_CONV_MAX_FAN_IN).
+
+    python3 scripts/bench_layers.py --repeats 7
+"""
+
+import argparse
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from specsiam import siamese as S  # noqa: E402
+
+# (name, batch, image shape, conv1 filters, conv2 filters, kernel sizes)
+NETS = [
+    ("synth", 32, (65, 29), 4, 8, (3, 5)),
+    ("paper", 96, (129, 59), 8, 16, (3, 5, 12)),
+]
+
+
+def best_ms(fn, *args, repeats):
+    fn(*args)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
+
+
+def conv_rows(name, b, c_in, c_out, hw, k, repeats, rng):
+    x = rng.standard_normal((b, c_in, *hw))
+    w = rng.standard_normal((c_out, c_in, k, k))
+    dout = rng.standard_normal((b, c_out, hw[0] - k + 1, hw[1] - k + 1))
+    _, fft_cache = S._fft_forward(x, w)
+    ops = [
+        ("fwd", (S._fft_forward, x, w), (S._direct_forward, x, w)),
+        ("dW", (S._fft_dw, fft_cache, dout, k), (S._direct_dw, x, dout, k)),
+    ]
+    if c_in > 1:  # the network never needs dX of conv1
+        ops.append(("dX", (S._fft_dx, dout, w, x.shape), (S._direct_dx, dout, w, x.shape)))
+    path = "direct" if S._is_direct(w) else "fft"
+    for op, fft_call, direct_call in ops:
+        fft_ms = best_ms(*fft_call, repeats=repeats)
+        direct_ms = best_ms(*direct_call, repeats=repeats)
+        print(f"| {name} | {b}x{c_in}x{hw[0]}x{hw[1]} -> {c_out} | {k} | {c_in * k * k} | {op} "
+              f"| {fft_ms:.1f} | {direct_ms:.1f} | {path} |", flush=True)
+
+
+def pool_rows(name, x, repeats):
+    out, cache = S._pool_forward(x)
+    dout = np.ones_like(out)
+    fwd = best_ms(S._pool_forward, x, repeats=repeats)
+    bwd = best_ms(S._pool_backward, dout, cache, repeats=repeats)
+    shape = "x".join(map(str, x.shape))
+    print(f"| {name} | {shape} | pool | fwd {fwd:.1f} | bwd {bwd:.1f} |", flush=True)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    rng = np.random.default_rng(0)
+    print(f"# numpy {np.__version__}, nproc {os.cpu_count()}, one thread")
+    print("| net | input -> filters | k | fan-in | op | fft ms | direct ms | path |")
+    print("|---|---|---|---|---|---|---|---|")
+    pools = []
+    for name, b, (h, w), c1, c2, kernel_sizes in NETS:
+        for k in kernel_sizes:
+            h1, w1 = h - k + 1, w - k + 1
+            conv_rows(f"{name} conv1", b, 1, c1, (h, w), k, args.repeats, rng)
+            conv_rows(f"{name} conv2", b, c1, c2, (h1 // 2, w1 // 2), k, args.repeats, rng)
+            if k == kernel_sizes[0]:
+                pools.append((f"{name} pool1", np.maximum(rng.standard_normal((b, c1, h1, w1)), 0.0)))
+    for name, x in pools:
+        pool_rows(name, x, args.repeats)
+
+
+if __name__ == "__main__":
+    main()

@@ -39,6 +39,19 @@ __all__ = [
 NOISE_FLOOR = 1e-6
 
 
+def _within(value: float, u: float, low: float, high: float) -> float:
+    """Decodes the unit edges to the bounds exactly and keeps the rest inside.
+
+    Rounding would otherwise put edge proposals just outside the range that
+    the configs accept: exp(log(1e-5)) is 9.999999999999997e-06.
+    """
+    if u == 0.0:
+        return low
+    if u == 1.0:
+        return high
+    return min(max(value, low), high)
+
+
 @dataclass(frozen=True)
 class Continuous:
     name: str
@@ -54,7 +67,7 @@ class Continuous:
 
     def from_unit(self, u: float) -> float:
         u = min(max(float(u), 0.0), 1.0)
-        return self.low + u * (self.high - self.low)
+        return _within(self.low + u * (self.high - self.low), u, self.low, self.high)
 
 
 @dataclass(frozen=True)
@@ -74,7 +87,8 @@ class LogContinuous:
 
     def from_unit(self, u: float) -> float:
         u = min(max(float(u), 0.0), 1.0)
-        return math.exp(math.log(self.low) + u * (math.log(self.high) - math.log(self.low)))
+        value = math.exp(math.log(self.low) + u * (math.log(self.high) - math.log(self.low)))
+        return _within(value, u, self.low, self.high)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,18 @@ twins; training minimizes a cosine-distance contrastive loss over same-channel
 pairs with L1 kernel regularization, using hand-written reverse-mode gradients
 and Adam. Feature vectors live on the probability simplex, so the cosine
 distance between twin outputs stays in [0, 1].
+
+Each convolution runs either directly (im2col unfolding and one matmul) or in
+the Fourier domain, chosen per layer from its fan-in C_in * k * k: direct up
+to DIRECT_CONV_MAX_FAN_IN = 100, FFT above, following the measured crossover
+described above the layer primitives. Max pooling compares four strided views.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -159,34 +164,162 @@ class SiameseModel:
 def init_model(config: NetConfig, input_shape: tuple[int, int]) -> SiameseModel:
     """He-initialized convolutions, Glorot fully connected layer, zero biases."""
     plan = _plan_shapes(config, input_shape)
+    shapes = _param_shapes(config, plan)
     k = config.kernel_size
-    c1, c2, q = config.conv1_filters, config.conv2_filters, config.output_dim
+    c1, q = config.conv1_filters, config.output_dim
     rng = np.random.default_rng(config.seed)
-    conv1_w = rng.normal(0.0, math.sqrt(2.0 / (k * k)), (c1, 1, k, k))
-    conv2_w = rng.normal(0.0, math.sqrt(2.0 / (c1 * k * k)), (c2, c1, k, k))
-    fc_w = rng.normal(0.0, math.sqrt(2.0 / (plan.flat_dim + q)), (q, plan.flat_dim))
+    conv1_w = rng.normal(0.0, math.sqrt(2.0 / (k * k)), shapes["conv1_w"])
+    conv2_w = rng.normal(0.0, math.sqrt(2.0 / (c1 * k * k)), shapes["conv2_w"])
+    fc_w = rng.normal(0.0, math.sqrt(2.0 / (plan.flat_dim + q)), shapes["fc_w"])
     return SiameseModel(
         config=config,
         input_shape=tuple(input_shape),
         conv1_w=conv1_w,
-        conv1_b=np.zeros(c1),
+        conv1_b=np.zeros(shapes["conv1_b"]),
         conv2_w=conv2_w,
-        conv2_b=np.zeros(c2),
+        conv2_b=np.zeros(shapes["conv2_b"]),
         fc_w=fc_w,
-        fc_b=np.zeros(q),
+        fc_b=np.zeros(shapes["fc_b"]),
         rng=rng,
     )
+
+
+def _param_shapes(config: NetConfig, plan: _ShapePlan) -> dict[str, tuple[int, ...]]:
+    k = config.kernel_size
+    c1, c2, q = config.conv1_filters, config.conv2_filters, config.output_dim
+    return {
+        "conv1_w": (c1, 1, k, k),
+        "conv1_b": (c1,),
+        "conv2_w": (c2, c1, k, k),
+        "conv2_b": (c2,),
+        "fc_w": (q, plan.flat_dim),
+        "fc_b": (q,),
+    }
 
 
 # ---------------------------------------------------------------------------
 # layer primitives (batched over axis 0)
 
-# Valid cross-correlation computed in the Fourier domain on planes padded to
-# fast composite sizes (ph, pw) >= (H, W). The circular results are then
-# alias-free: the first Ho x Wo block of ifft(X * conj(Wf)) is the valid
-# correlation, the first k x k block of ifft(X * conj(Df)) is the kernel
-# gradient, and the first H x W block of ifft(Df * Wf) is the input gradient
-# (the linear full convolution spans exactly Ho + k - 1 = H rows).
+# Valid cross-correlation has two implementations, and each layer takes the one
+# that is faster for its own shape: direct when its fan-in C_in * k * k is at
+# most DIRECT_CONV_MAX_FAN_IN, FFT above. Measured on one thread (forward, dW,
+# dX; scripts/bench_layers.py prints the table): on 129x59 images, 96 per
+# batch, filters 8/16, direct is 3-10x faster for conv1 at k=3 and k=5
+# (fan-in 9, 25) and 1.5-3.5x for conv2 at k=3 (72), while FFT is faster for
+# conv2 at k=5 (200) by 10-20% over the three ops and for conv2 at k=12
+# (1152) by 3-7x; conv1 at k=12 (144) is within noise of a tie. On 65x29
+# images (32 per batch, filters 4/8) direct is 1.5-12x faster at fan-in 9 and
+# 36 and about even at 100. The two paths agree to ~1e-13 absolute.
+#
+# Direct ("unfolding", Chellapilla et al. 2006): the k*k shifted windows of a
+# few images at a time are copied into one (n, C_in*k*k, Ho*Wo) array and
+# contracted with w.reshape(C_out, -1) in one batched matmul; dW contracts the
+# same windows with dout, and dX multiplies dout by the transposed weights and
+# adds the k*k window gradients back at their shifts. The backward pass
+# re-unfolds the cached input rather than keeping the unfolded array, so
+# memory stays at the size of the input.
+#
+# FFT (Mathieu, Henaff & LeCun 2014): planes are zero-padded to fast composite
+# sizes (ph, pw) >= (H, W). The circular results are then alias-free: the first
+# Ho x Wo block of ifft(X * conj(Wf)) is the valid correlation, the first
+# k x k block of ifft(X * conj(Df)) is the kernel gradient, and the first
+# H x W block of ifft(Df * Wf) is the input gradient (the linear full
+# convolution spans exactly Ho + k - 1 = H rows).
+
+DIRECT_CONV_MAX_FAN_IN = 100
+# The direct path unfolds a few images at a time so that their windows stay in
+# cache: on 129x59 images this made the direct ops up to 3x faster than
+# unfolding the whole batch at once.
+UNFOLD_CHUNK_BYTES = 1 << 20
+
+
+def _is_direct(w) -> bool:
+    _, c_in, k, _ = w.shape
+    return c_in * k * k <= DIRECT_CONV_MAX_FAN_IN
+
+
+def _conv_forward(x, w, bias):
+    """Returns the conv output plus the cache its backward pass needs."""
+    if _is_direct(w):
+        out, cache = _direct_forward(x, w), x
+    else:
+        out, cache = _fft_forward(x, w)
+    out += bias[None, :, None, None]
+    return out, cache
+
+
+def _conv_dw(cache, dout, w):
+    k = w.shape[2]
+    return _direct_dw(cache, dout, k) if _is_direct(w) else _fft_dw(cache, dout, k)
+
+
+def _conv_dx(dout, w, x_shape):
+    return (_direct_dx if _is_direct(w) else _fft_dx)(dout, w, x_shape)
+
+
+def _direct_forward(x, w):
+    b = x.shape[0]
+    n_out, _, k, _ = w.shape
+    ho, wo = x.shape[2] - k + 1, x.shape[3] - k + 1
+    w2 = w.reshape(n_out, -1)
+    out = np.empty((b, n_out, ho * wo))
+    for part, cols in _unfolded(x, k):
+        np.matmul(w2, cols, out=out[part])
+    return out.reshape(b, n_out, ho, wo)
+
+
+def _direct_dw(x, dout, k):
+    b, n_out = dout.shape[:2]
+    d3 = dout.reshape(b, n_out, -1)
+    dw = 0.0
+    for part, cols in _unfolded(x, k):
+        dw = dw + np.matmul(d3[part], cols.transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(n_out, x.shape[1], k, k)
+
+
+def _direct_dx(dout, w, x_shape):
+    b, c, h, wd = x_shape
+    n_out, _, k, _ = w.shape
+    ho, wo = h - k + 1, wd - k + 1
+    w2t = w.reshape(n_out, -1).T
+    d3 = dout.reshape(b, n_out, ho * wo)
+    dx = np.zeros(x_shape)
+    step = _unfold_step(c, k, ho, wo)
+    buf = np.empty((min(step, b), c * k * k, ho * wo))
+    for lo in range(0, b, step):
+        part = d3[lo : lo + step]
+        n = part.shape[0]
+        dcols = np.matmul(w2t, part, out=buf[:n]).reshape(n, c, k, k, ho, wo)
+        rows = dx[lo : lo + n]
+        for i in range(k):
+            for j in range(k):
+                rows[:, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
+    return dx
+
+
+def _unfold_step(c, k, ho, wo) -> int:
+    """Images per chunk so that one chunk's windows fill about UNFOLD_CHUNK_BYTES."""
+    return max(1, UNFOLD_CHUNK_BYTES // (8 * c * k * k * ho * wo))
+
+
+def _unfolded(x, k):
+    """Yields (batch slice, (n, C_in*k*k, Ho*Wo) windows) chunk by chunk.
+
+    The chunks reuse one buffer, so each yielded array is valid only until
+    the next one.
+    """
+    b, c, h, wd = x.shape
+    ho, wo = h - k + 1, wd - k + 1
+    step = _unfold_step(c, k, ho, wo)
+    buf = np.empty((min(step, b), c, k, k, ho, wo))
+    for lo in range(0, b, step):
+        part = x[lo : lo + step]
+        cols = buf[: part.shape[0]]
+        for i in range(k):
+            for j in range(k):
+                cols[:, :, i, j] = part[:, :, i : i + ho, j : j + wo]
+        yield slice(lo, lo + step), cols.reshape(part.shape[0], c * k * k, ho * wo)
+
 
 def _fft_plane(h: int, wd: int) -> tuple[int, int]:
     return sp_fft.next_fast_len(h), sp_fft.next_fast_len(wd)
@@ -198,7 +331,7 @@ def _plane_matmul(a, b):
     return stacked.transpose(2, 3, 0, 1)
 
 
-def _conv_forward(x, w, bias):
+def _fft_forward(x, w):
     """Returns the conv output plus the cached input spectrum for backward."""
     b, c, h, wd = x.shape
     n_out, _, k, _ = w.shape
@@ -207,10 +340,10 @@ def _conv_forward(x, w, bias):
     wf = sp_fft.rfft2(w, s=(ph, pw), workers=-1)
     yf = _plane_matmul(xf, wf.conj())
     out = sp_fft.irfft2(yf, s=(ph, pw), workers=-1)[:, :, : h - k + 1, : wd - k + 1]
-    return out + bias[None, :, None, None], (xf, (h, wd), (ph, pw))
+    return out.copy(), (xf, (h, wd), (ph, pw))
 
 
-def _conv_dw(fft_cache, dout, k):
+def _fft_dw(fft_cache, dout, k):
     xf, (h, wd), (ph, pw) = fft_cache
     df = sp_fft.rfft2(dout, s=(ph, pw), workers=-1)
     # dwf[o, c] = sum_b conj(df)[b, o] * xf[b, c]: contract over the batch axis
@@ -218,7 +351,7 @@ def _conv_dw(fft_cache, dout, k):
     return sp_fft.irfft2(dwf, s=(ph, pw), workers=-1)[:, :, :k, :k]
 
 
-def _conv_dx(dout, w, x_shape):
+def _fft_dx(dout, w, x_shape):
     _, _, h, wd = x_shape
     ph, pw = _fft_plane(h, wd)
     df = sp_fft.rfft2(dout, s=(ph, pw), workers=-1)
@@ -227,31 +360,41 @@ def _conv_dx(dout, w, x_shape):
     return sp_fft.irfft2(dxf, s=(ph, pw), workers=-1)[:, :, :h, :wd]
 
 
+def _pool_quads(x):
+    """The four corners of every 2x2 quad as strided views, in row-major order.
+
+    An odd last row or column belongs to no quad and is left out.
+    """
+    h2, w2 = x.shape[2] // 2, x.shape[3] // 2
+    return [x[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+
+
 def _pool_forward(x):
-    b, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    quads = (
-        x[:, :, : 2 * h2, : 2 * w2]
-        .reshape(b, c, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b * c * h2 * w2, 4)
-    )
-    idx = quads.argmax(axis=1)
-    rows = np.arange(quads.shape[0])
-    out = quads[rows, idx].reshape(b, c, h2, w2)
+    """2x2 max pooling; the cache holds each quad's winner as an int8 in 0..3.
+
+    Ties go to the first corner in row-major order, as argmax breaks them:
+    ReLU leaves many all-zero quads, and the winner decides where backward
+    routes the gradient.
+    """
+    a, b, c, d = _pool_quads(x)
+    top = np.maximum(a, b)
+    bottom = np.maximum(c, d)
+    out = np.maximum(top, bottom)
+    # winner = 2 * (bottom row wins) + (right corner wins within that row)
+    right_top = (b > a).view(np.int8)
+    right_bottom = (d > c).view(np.int8)
+    lower = (bottom > top).view(np.int8)
+    idx = right_top + lower * (np.int8(2) + right_bottom - right_top)
     return out, (idx, x.shape)
 
 
 def _pool_backward(dout, cache):
+    """Scatters each quad's gradient to its winner; every other entry is 0."""
     idx, x_shape = cache
-    b, c, h, w = x_shape
-    h2, w2 = h // 2, w // 2
-    dquads = np.zeros((b * c * h2 * w2, 4))
-    dquads[np.arange(dquads.shape[0]), idx] = dout.ravel()
+    w = x_shape[3]
     dx = np.zeros(x_shape)
-    dx[:, :, : 2 * h2, : 2 * w2] = (
-        dquads.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, 2 * h2, 2 * w2)
-    )
+    first_corner = _pool_quads(np.arange(dx.size).reshape(x_shape))[0]
+    dx.ravel()[first_corner + np.array([0, 1, w, w + 1])[idx]] = dout
     return dx
 
 
@@ -266,14 +409,14 @@ def _forward_base(model: SiameseModel, x: np.ndarray, masks):
     cfg = model.config
     pool = cfg.pooling == "max2x2"
     keep = 1.0 - cfg.dropout_p
-    z1, fft1 = _conv_forward(x[:, None, :, :], model.conv1_w, model.conv1_b)
+    z1, conv1 = _conv_forward(x[:, None, :, :], model.conv1_w, model.conv1_b)
     r1 = np.maximum(z1, 0.0)
     if pool:
         p1, pc1 = _pool_forward(r1)
     else:
         p1, pc1 = r1, None
     a1 = p1 * masks[0] / keep if masks is not None else p1
-    z2, fft2 = _conv_forward(a1, model.conv2_w, model.conv2_b)
+    z2, conv2 = _conv_forward(a1, model.conv2_w, model.conv2_b)
     r2 = np.maximum(z2, 0.0)
     if pool:
         p2, pc2 = _pool_forward(r2)
@@ -283,7 +426,7 @@ def _forward_base(model: SiameseModel, x: np.ndarray, masks):
     flat = a2.reshape(a2.shape[0], -1)
     zf = flat @ model.fc_w.T + model.fc_b
     f = _softmax_rows(zf)
-    cache = (fft1, z1, pc1, a1.shape, fft2, z2, pc2, flat, f, masks)
+    cache = (conv1, z1, pc1, a1.shape, conv2, z2, pc2, flat, f, masks)
     return f, cache
 
 
@@ -292,7 +435,7 @@ def _backward_base(model: SiameseModel, df: np.ndarray, cache):
     cfg = model.config
     pool = cfg.pooling == "max2x2"
     keep = 1.0 - cfg.dropout_p
-    fft1, z1, pc1, a1_shape, fft2, z2, pc2, flat, f, masks = cache
+    conv1, z1, pc1, a1_shape, conv2, z2, pc2, flat, f, masks = cache
     dzf = f * (df - (f * df).sum(axis=1, keepdims=True))
     g_fc_w = dzf.T @ flat
     g_fc_b = dzf.sum(axis=0)
@@ -300,13 +443,13 @@ def _backward_base(model: SiameseModel, df: np.ndarray, cache):
     dp2 = da2 * masks[1] / keep if masks is not None else da2
     dr2 = _pool_backward(dp2, pc2) if pool else dp2
     dz2 = dr2 * (z2 > 0)
-    g2w = _conv_dw(fft2, dz2, cfg.kernel_size)
+    g2w = _conv_dw(conv2, dz2, model.conv2_w)
     g2b = dz2.sum(axis=(0, 2, 3))
     da1 = _conv_dx(dz2, model.conv2_w, a1_shape)
     dp1 = da1 * masks[0] / keep if masks is not None else da1
     dr1 = _pool_backward(dp1, pc1) if pool else dp1
     dz1 = dr1 * (z1 > 0)
-    g1w = _conv_dw(fft1, dz1, cfg.kernel_size)
+    g1w = _conv_dw(conv1, dz1, model.conv1_w)
     g1b = dz1.sum(axis=(0, 2, 3))
     return {
         "conv1_w": g1w,
@@ -600,6 +743,11 @@ def save_checkpoint(model: SiameseModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> SiameseModel:
+    """Reads a checkpoint written by save_checkpoint.
+
+    Any defect (an unknown or missing field, a missing or misshaped tensor, a
+    bad rng state) raises DataError naming the file and the field.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"checkpoint not found: {path}")
@@ -607,26 +755,57 @@ def load_checkpoint(path: str | Path) -> SiameseModel:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a siamese checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {payload.get('version')}")
-    config = NetConfig(**payload["config"])
-    params = {name: np.asarray(v, dtype=np.float64) for name, v in payload["params"].items()}
+
+    def bad(what: str) -> DataError:
+        return DataError(f"checkpoint {path}: {what}")
+
+    def section(name: str, kind: type):
+        if name not in payload:
+            raise bad(f"missing field '{name}'")
+        if not isinstance(payload[name], kind):
+            raise bad(f"field '{name}' must be a JSON {'object' if kind is dict else 'array'}")
+        return payload[name]
+
+    raw_config = section("config", dict)
+    config_keys = [f.name for f in fields(NetConfig)]
+    for key in raw_config:
+        if key not in config_keys:
+            raise bad(f"unknown config key '{key}'")
+    for key in config_keys:
+        if key not in raw_config:
+            raise bad(f"missing config key '{key}'")
+    raw_shape = section("input_shape", list)
+    if len(raw_shape) != 2 or not all(type(n) is int and n > 0 for n in raw_shape):
+        raise bad(f"field 'input_shape' must hold two positive integers, got {raw_shape}")
+    try:
+        config = NetConfig(**raw_config)
+        plan = _plan_shapes(config, tuple(raw_shape))
+    except (DataError, TypeError, ValueError) as exc:
+        raise bad(f"invalid config: {exc}") from exc
+
+    raw_params = section("params", dict)
+    shapes = _param_shapes(config, plan)
+    for name in raw_params:
+        if name not in shapes:
+            raise bad(f"unknown parameter '{name}'")
+    params = {}
+    for name, shape in shapes.items():
+        if name not in raw_params:
+            raise bad(f"missing parameter '{name}'")
+        try:
+            params[name] = np.asarray(raw_params[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise bad(f"parameter '{name}' is not a numeric array") from exc
+        if params[name].shape != shape:
+            raise bad(f"parameter '{name}' has shape {params[name].shape}, expected {shape}")
+
     rng = np.random.default_rng()
-    rng.bit_generator.state = payload["rng_state"]
-    model = SiameseModel(
-        config=config,
-        input_shape=tuple(payload["input_shape"]),
-        conv1_w=params["conv1_w"],
-        conv1_b=params["conv1_b"],
-        conv2_w=params["conv2_w"],
-        conv2_b=params["conv2_b"],
-        fc_w=params["fc_w"],
-        fc_b=params["fc_b"],
-        rng=rng,
-    )
-    expected = _plan_shapes(config, model.input_shape)
-    if model.fc_w.shape != (config.output_dim, expected.flat_dim):
-        raise DataError("checkpoint parameter shapes disagree with its config")
-    return model
+    try:
+        rng.bit_generator.state = section("rng_state", dict)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise bad(f"field 'rng_state' is not a {type(rng.bit_generator).__name__} state") from exc
+    return SiameseModel(config=config, input_shape=tuple(raw_shape), rng=rng, **params)

@@ -55,6 +55,19 @@ class TestSpaceMappings:
         for v in (1e-6, 1e-5, 3.7e-4, 1e-3):
             assert dim.from_unit(dim.to_unit(v)) == pytest.approx(v, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1e-5, 1.0), (1e-6, 1e-3), (1e-3, 1e-1), (1e-2, 1.0), (0.3, 7.0), (1e-9, 1e9)],
+    )
+    def test_edges_decode_exactly_to_bounds(self, low, high):
+        # exp(log(1e-5)) is 9.999999999999997e-06: without clamping, an edge
+        # proposal fell outside the range the classifier specs accept.
+        for dim in (LogContinuous("x", low, high), Continuous("x", low, high)):
+            assert dim.from_unit(0.0) == low
+            assert dim.from_unit(1.0) == high
+            assert dim.from_unit(-0.5) == low
+            assert dim.from_unit(1.5) == high
+
     def test_discrete_snap_idempotent(self):
         dim = Discrete("k", (3, 4, 5, 6, 7, 8, 9, 10, 11, 12))
         for u in np.linspace(0, 1, 23):

@@ -5,6 +5,7 @@ import pytest
 
 from specsiam.cli import main
 from specsiam.classify import LabeledFeatures
+from specsiam.siamese import NetConfig, init_model, save_checkpoint
 
 
 @pytest.fixture()
@@ -76,6 +77,30 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "defect, field",
+        [
+            (lambda p: p["config"].update(stride=2), "stride"),
+            (lambda p: p["params"].pop("fc_w"), "fc_w"),
+            (lambda p: p.pop("rng_state"), "rng_state"),
+        ],
+        ids=["unknown-config-key", "missing-tensor", "missing-rng-state"],
+    )
+    def test_extract_on_defective_checkpoint_is_data_error(self, synth_dir, tmp_path, capsys,
+                                                            defect, field):
+        ckpt = tmp_path / "checkpoint.json"
+        save_checkpoint(init_model(NetConfig(kernel_size=3), (40, 40)), ckpt)
+        payload = json.loads(ckpt.read_text())
+        defect(payload)
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["extract", "--manifest", manifest_of(synth_dir), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "features")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(ckpt) in err and field in err
 
 
 class TestStft:

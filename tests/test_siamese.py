@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -468,6 +469,22 @@ class TestFeaturesAndAccuracy:
             pair_accuracy(model, [], images)
 
 
+# (mutation of a saved checkpoint payload, field the error must name)
+CHECKPOINT_DEFECTS = [
+    (lambda p: p["config"].update(stride=2), "stride"),
+    (lambda p: p["config"].pop("margin"), "margin"),
+    (lambda p: p["config"].update(kernel_size="5"), "kernel_size"),
+    (lambda p: p["params"].pop("fc_w"), "fc_w"),
+    (lambda p: p["params"].update(conv2_w=[[1.0]]), "conv2_w"),
+    (lambda p: p["params"].update(conv1_b=[[1.0], [2.0, 3.0]]), "conv1_b"),
+    (lambda p: p["params"].update(extra=[1.0]), "extra"),
+    (lambda p: p.pop("rng_state"), "rng_state"),
+    (lambda p: p["rng_state"].pop("state"), "rng_state"),
+    (lambda p: p.update(input_shape=[8]), "input_shape"),
+    (lambda p: p.update(params=[]), "params"),
+]
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model, batch, images = tiny_setup(40)
@@ -486,6 +503,19 @@ class TestCheckpoint:
         path.write_text("{}")
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("defect, field", CHECKPOINT_DEFECTS,
+                             ids=[field for _, field in CHECKPOINT_DEFECTS])
+    def test_defects_name_file_and_field(self, tmp_path, defect, field):
+        model, _, _ = tiny_setup(41)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        payload = json.loads(path.read_text())
+        defect(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=field) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
 
 class TestConfigValidation:
