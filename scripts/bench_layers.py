@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the twin network's convolution and pooling kernels.
+"""Per-layer timings of the twin network's kernels and of the baseline stages.
 
 Times both convolution algorithms (FFT and direct) on forward, kernel
 gradient (dW) and input gradient (dX) for conv1 and conv2 at two shapes:
@@ -9,6 +9,12 @@ images), plus 2x2 max pooling forward and backward on the conv outputs. Each
 figure is the best of --repeats calls, in milliseconds, on one thread pinned
 to one CPU. The `path` column is the algorithm the network uses for the
 layer (fan-in C_in*k*k against DIRECT_CONV_MAX_FAN_IN).
+
+A second table times the stages behind the FFT baseline rows, best of
+--repeats calls in milliseconds: one default gradient-boosting fit (50 trees
+of depth 3) on a 10x301 table (the FFT features of a 10-s, 64-Hz channel) and
+on a 128x8 table (twin-network features), one `gp_fit` and one `propose_next`
+with the SVM search space (d = 3) after n = 9 evaluations.
 
     python3 scripts/bench_layers.py --repeats 7
 """
@@ -28,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from specsiam import bayesopt, classify  # noqa: E402
 from specsiam import siamese as S  # noqa: E402
 
 # (name, batch, image shape, conv1 filters, conv2 filters, kernel sizes)
@@ -75,6 +82,30 @@ def pool_rows(name, x, repeats):
     print(f"| {name} | {shape} | pool | fwd {fwd:.1f} | bwd {bwd:.1f} |", flush=True)
 
 
+def stage_rows(repeats, rng):
+    print("| stage | input | ms |")
+    print("|---|---|---|")
+    spec = classify.default_spec(classify.ClassifierKind.XGB)
+    for n, d in ((10, 301), (128, 8)):
+        x = rng.standard_normal((n, d))
+        y = np.arange(n) % 2
+        table = classify.LabeledFeatures(tuple(f"s{i}" for i in range(n)), (0,) * n, x, y)
+        ms = best_ms(classify.fit, spec, table, repeats=repeats)
+        print(f"| xgb fit, default spec | {n}x{d} | {ms:.1f} |", flush=True)
+    space = classify.classifier_search_space(classify.ClassifierKind.SVM)
+    state = bayesopt.BoState(space=space, seed=3)
+    for u in rng.random((9, space.n_dims)):
+        raw = space.from_unit(u)
+        state.unit_points.append(space.to_unit(raw))
+        state.raw_configs.append(raw)
+        state.values.append(float(rng.random()))
+    points, values = np.array(state.unit_points), np.array(state.values)
+    ms = best_ms(bayesopt.gp_fit, points, values, repeats=repeats)
+    print(f"| gp_fit | n=9, d=3 | {ms:.1f} |", flush=True)
+    ms = best_ms(bayesopt.propose_next, state, space, repeats=repeats)
+    print(f"| propose_next | n=9, d=3 | {ms:.1f} |", flush=True)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeats", type=int, default=5)
@@ -93,6 +124,8 @@ def main():
                 pools.append((f"{name} pool1", np.maximum(rng.standard_normal((b, c1, h1, w1)), 0.0)))
     for name, x in pools:
         pool_rows(name, x, args.repeats)
+    print()
+    stage_rows(args.repeats, rng)
 
 
 if __name__ == "__main__":

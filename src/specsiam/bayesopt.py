@@ -2,9 +2,11 @@
 
 Search dimensions (continuous, log-continuous, discrete) map into the unit
 cube where a Matern 5/2 GP with per-dimension lengthscales models the
-objective. Candidates maximize EI by multi-start quasi-Newton search and are
-snapped back to the raw space; discrete dimensions snap to the nearest listed
-value. All objectives are maximized (validation accuracies).
+objective. Its hyperparameters maximize the log marginal likelihood, and
+candidates maximize EI, both by multi-start L-BFGS-B search with analytic
+gradients. Candidates are snapped back to the raw space; discrete dimensions
+snap to the nearest listed value. All objectives are maximized (validation
+accuracies).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy import linalg as sp_linalg
 from scipy import optimize as sp_optimize
-from scipy.stats import norm as _norm
+from scipy import special as sp_special
 
 from .errors import DataError, NumericalError
 
@@ -161,6 +163,10 @@ class SearchSpace:
 # ---------------------------------------------------------------------------
 # Gaussian process surrogate
 
+SQRT5 = math.sqrt(5.0)
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
 def _matern52(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray, signal_var: float):
     sa = xa / lengthscales
     sb = xb / lengthscales
@@ -170,7 +176,7 @@ def _matern52(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray, signal_v
         - 2.0 * (sa @ sb.T)
     )
     r = np.sqrt(np.maximum(d2, 0.0))
-    sq5r = math.sqrt(5.0) * r
+    sq5r = SQRT5 * r
     return signal_var * (1.0 + sq5r + 5.0 * d2 / 3.0) * np.exp(-sq5r)
 
 
@@ -202,13 +208,17 @@ class GpPosterior:
     alpha: np.ndarray = field(repr=False)
 
     def predict(self, x_query) -> tuple[np.ndarray, np.ndarray]:
-        xq = np.atleast_2d(np.asarray(x_query, dtype=np.float64))
+        mu, var, _, _ = self._posterior(np.atleast_2d(np.asarray(x_query, dtype=np.float64)))
+        return mu, var
+
+    def _posterior(self, xq: np.ndarray):
+        """Mean and variance at xq, plus k(X, xq) and v = L⁻¹k(X, xq) for gradients."""
         k_star = _matern52(self.x_train, xq, self.lengthscales, self.signal_var)
         mu = self.y_mean + self.y_scale * (k_star.T @ self.alpha)
         v = sp_linalg.solve_triangular(self.chol_lower, k_star, lower=True)
         var = self.signal_var - (v * v).sum(axis=0)
         var = np.maximum(var, 0.0) * self.y_scale**2
-        return mu, var
+        return mu, var, k_star, v
 
     @property
     def hyperparams(self) -> dict:
@@ -220,16 +230,27 @@ class GpPosterior:
 
 
 def _neg_log_marginal(log_params, x, y_std, fixed_noise):
-    d = x.shape[1]
+    """Negative log marginal likelihood and its gradient in log_params.
+
+    log_params holds the log lengthscales, the log signal variance and, when
+    fixed_noise is None, the log noise variance. Each gradient entry is
+    0.5·tr((ααᵀ − K⁻¹) ∂K/∂θ) (Rasmussen & Williams 2006, eq. 5.9). A
+    covariance that cannot be factored scores 1e9 with a zero gradient.
+    """
+    n, d = x.shape
     ls = np.exp(log_params[:d])
     sf = math.exp(log_params[d])
-    sn = fixed_noise if fixed_noise is not None else max(math.exp(log_params[d + 1]), NOISE_FLOOR)
+    if fixed_noise is None:
+        fitted_noise = math.exp(log_params[d + 1])
+        sn = max(fitted_noise, NOISE_FLOOR)
+    else:
+        sn = fixed_noise
+    failed = 1e9, np.zeros_like(log_params)
     k = _matern52(x, x, ls, sf)
-    n = x.shape[0]
     try:
         lower = sp_linalg.cholesky(k + (sn + 1e-12) * np.eye(n), lower=True)
     except sp_linalg.LinAlgError:
-        return 1e9
+        return failed
     alpha = sp_linalg.cho_solve((lower, True), y_std)
     lml = (
         -0.5 * float(y_std @ alpha)
@@ -237,8 +258,18 @@ def _neg_log_marginal(log_params, x, y_std, fixed_noise):
         - 0.5 * n * math.log(2.0 * math.pi)
     )
     if not math.isfinite(lml):
-        return 1e9
-    return -lml
+        return failed
+    w = np.outer(alpha, alpha) - sp_linalg.cho_solve((lower, True), np.eye(n))
+    # dk/dlog l_i = sf·(5/3)(1 + √5 r)e^(−√5 r)·(Δ_i/l_i)²
+    scaled_sq = ((x[:, None, :] - x[None, :, :]) / ls) ** 2
+    r = np.sqrt(scaled_sq.sum(axis=2))
+    radial = sf * (5.0 / 3.0) * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
+    grad = np.empty_like(log_params)
+    grad[:d] = 0.5 * np.einsum("ab,abi->i", w * radial, scaled_sq)
+    grad[d] = 0.5 * float((w * k).sum())
+    if fixed_noise is None:
+        grad[d + 1] = 0.5 * float(np.trace(w)) * (sn if fitted_noise >= NOISE_FLOOR else 0.0)
+    return -lml, -grad
 
 
 def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed: int = 0) -> GpPosterior:
@@ -279,6 +310,7 @@ def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed
                 start,
                 args=(x, y_std, noise),
                 method="L-BFGS-B",
+                jac=True,
                 bounds=bounds,
             )
             val = res.fun if math.isfinite(res.fun) else 1e9
@@ -315,16 +347,49 @@ def expected_improvement(gp: GpPosterior, x_query, best_value: float):
     """
     single = np.asarray(x_query).ndim == 1
     mu, var = gp.predict(x_query)
+    ei = _ei(mu, var, best_value)[0]
+    return float(ei[0]) if single else ei
+
+
+def _ei(mu, var, best_value):
+    """EI from posterior moments, with σ, the live mask (σ > 1e-12), Φ(z) and φ(z)."""
     sigma = np.sqrt(var)
     improve = mu - best_value
     ei = np.maximum(improve, 0.0)
     live = sigma > 1e-12
+    cdf = pdf = None
     if np.any(live):
         z = improve[live] / sigma[live]
+        cdf = sp_special.ndtr(z)
+        pdf = np.exp(-z**2 / 2.0) / SQRT_2PI  # scipy.stats.norm.pdf's formula
         ei = ei.copy()
-        ei[live] = improve[live] * _norm.cdf(z) + sigma[live] * _norm.pdf(z)
-    ei = np.maximum(ei, 0.0)
-    return float(ei[0]) if single else ei
+        ei[live] = improve[live] * cdf + sigma[live] * pdf
+    return np.maximum(ei, 0.0), sigma, live, cdf, pdf
+
+
+def _neg_ei_and_grad(u, gp: GpPosterior, best_value: float):
+    """-EI at one unit-cube point and its gradient, for the L-BFGS-B search.
+
+    The value is computed by the code expected_improvement uses. The gradient
+    is Φ(z)·∂μ/∂u + φ(z)·∂σ/∂u where σ > 1e-12, else ∂μ/∂u while μ beats the
+    best value; ∂σ/∂u takes one extra triangular solve for K⁻¹k(X, u).
+    """
+    mu, var, k_star, v = gp._posterior(u[None, :])
+    ei, sigma, live, cdf, pdf = _ei(mu, var, best_value)
+    improve = float(mu[0]) - best_value
+    if not live[0] and improve <= 0.0:
+        return -float(ei[0]), np.zeros_like(u)
+    # dk(x_a, u)/du = −sf·(5/3)(1 + √5 r_a)e^(−√5 r_a)·(u − x_a)/l²
+    delta = u - gp.x_train
+    r = np.sqrt(((delta / gp.lengthscales) ** 2).sum(axis=1))
+    radial = gp.signal_var * (5.0 / 3.0) * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
+    dk = -(radial[:, None] * delta) / gp.lengthscales**2
+    dmu = gp.y_scale * (gp.alpha @ dk)
+    if not live[0]:
+        return -float(ei[0]), -dmu
+    k_inv_k = sp_linalg.solve_triangular(gp.chol_lower, v[:, 0], lower=True, trans="T")
+    dsigma = -(gp.y_scale**2) * (k_inv_k @ dk) / sigma[0]
+    return -float(ei[0]), -(cdf[0] * dmu + pdf[0] * dsigma)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +422,6 @@ class BoState:
         return dict(self.raw_configs[self.best_index])
 
 
-def _ei_objective(u, gp, best_value):
-    return -float(expected_improvement(gp, u[None, :], best_value)[0])
-
-
 def propose_next(state: BoState, space: SearchSpace, restarts: int = 10) -> dict:
     """Maximize EI over the unit cube and map the winner to a raw configuration.
 
@@ -383,10 +444,10 @@ def propose_next(state: BoState, space: SearchSpace, restarts: int = 10) -> dict
     bounds = [(0.0, 1.0)] * d
     for start in starts:
         res = sp_optimize.minimize(
-            _ei_objective, start, args=(gp, best_value), method="L-BFGS-B", bounds=bounds
+            _neg_ei_and_grad, start, args=(gp, best_value), method="L-BFGS-B", jac=True, bounds=bounds
         )
         u = np.clip(res.x, 0.0, 1.0)
-        ei = -_ei_objective(u, gp, best_value)
+        ei = expected_improvement(gp, u, best_value)
         if ei > best_ei:
             best_ei = ei
             best_u = u
@@ -440,8 +501,9 @@ def optimize(
 ) -> tuple[dict, BoState]:
     """Quasi-random exploration followed by EI-driven acquisitions.
 
-    A failing objective scores 0.0 (recorded in state.failures) and the run
-    continues. Returns the best raw configuration and the full trace.
+    An objective that raises one of OBJECTIVE_FAILURES scores 0.0, is recorded
+    in state.failures and the run continues; any other exception propagates.
+    Returns the best raw configuration and the full trace.
     """
     if n_init < 1:
         raise DataError("n_init must be >= 1")
@@ -462,11 +524,17 @@ def optimize(
     return state.best_config, state
 
 
+# What an objective may raise for one configuration: rejected input or settings
+# (DataError), a numerical breakdown (NumericalError), or a ValueError from
+# numpy or scipy, such as LinAlgError. Anything else is a bug and propagates.
+OBJECTIVE_FAILURES = (DataError, NumericalError, ValueError)
+
+
 def _evaluate(objective, raw, state: BoState) -> float:
     try:
         return float(objective(dict(raw)))
-    except Exception as exc:  # objective failures penalize, never abort the run
-        state.failures.append({"config": dict(raw), "error": str(exc)})
+    except OBJECTIVE_FAILURES as exc:  # scored 0.0 and recorded; the run goes on
+        state.failures.append({"iteration": len(state.values), "config": dict(raw), "error": str(exc)})
         return 0.0
 
 
@@ -477,12 +545,16 @@ def _record(state: BoState, space: SearchSpace, raw: dict, value: float) -> None
 
 
 def write_trace_csv(state: BoState, path: str | Path) -> None:
-    """(iteration, raw values..., objective, cumulative best) per evaluation."""
+    """(iteration, raw values..., objective, cumulative best, failure) per evaluation.
+
+    failure is empty, or the message of the error that scored the evaluation 0.
+    """
     names = state.space.names
+    failures = {f["iteration"]: f["error"] for f in state.failures}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", *names, "objective", "cumulative_best"])
+        writer.writerow(["iteration", *names, "objective", "cumulative_best", "failure"])
         best = -math.inf
         for i, (cfg, value) in enumerate(zip(state.raw_configs, state.values)):
             best = max(best, value)
-            writer.writerow([i, *(cfg[n] for n in names), repr(float(value)), repr(best)])
+            writer.writerow([i, *(cfg[n] for n in names), repr(float(value)), repr(best), failures.get(i, "")])

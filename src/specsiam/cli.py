@@ -609,33 +609,48 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _read_report(path: Path) -> MetricsReport:
+    """A report.json for the table; DataError names the file and the bad field."""
+    if not path.is_file():
+        raise DataError(f"report not found: {path}")
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: not a JSON report ({exc})") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: not a JSON report object")
+
+    def field(name, kind, what):
+        if name not in payload:
+            raise DataError(f"{path}: missing field '{name}'")
+        if not isinstance(payload[name], kind):
+            raise DataError(f"{path}: field '{name}' must be {what}")
+        return payload[name]
+
+    levels = {}
+    for level in ("channel_level", "subject_level"):
+        levels[level] = {}
+        for key, block in field(level, dict, "an object").items():
+            try:
+                levels[level][key] = (float(block["mean"]), float(block["std"]))
+            except (TypeError, KeyError, ValueError):
+                raise DataError(f"{path}: field '{level}.{key}' needs numeric 'mean' and 'std'") from None
+    for key in ("accuracy", "sensitivity", "specificity"):
+        if key not in levels["channel_level"]:
+            raise DataError(f"{path}: missing field 'channel_level.{key}'")
+    return MetricsReport(
+        pipeline_id=field("pipeline", str, "a string"),
+        n_folds=field("n_folds", int, "an integer"),
+        channel=levels["channel_level"],
+        subject=levels["subject_level"],
+        ties=payload.get("majority_ties", 0),
+        warnings=payload.get("warnings", []),
+        folds=[],
+    )
+
+
 def _cmd_report(args) -> int:
-    reports = []
-    for path in args.reports:
-        p = Path(path)
-        if not p.is_file():
-            raise DataError(f"report not found: {p}")
-        payload = json.loads(p.read_text(encoding="utf-8"))
-        channel = {
-            key: (block["mean"], block["std"])
-            for key, block in payload["channel_level"].items()
-        }
-        subject = {
-            key: (block["mean"], block["std"])
-            for key, block in payload["subject_level"].items()
-        }
-        reports.append(
-            MetricsReport(
-                pipeline_id=payload["pipeline"],
-                n_folds=payload["n_folds"],
-                channel=channel,
-                subject=subject,
-                ties=payload.get("majority_ties", 0),
-                warnings=payload.get("warnings", []),
-                folds=[],
-            )
-        )
-    print(evaluate.report_table(reports))
+    print(evaluate.report_table([_read_report(Path(path)) for path in args.reports]))
     return 0
 
 

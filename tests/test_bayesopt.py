@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg as sp_linalg
+from scipy.optimize import approx_fprime
+from scipy.stats import norm
 
+from specsiam import bayesopt
 from specsiam.bayesopt import (
     BoState,
     Continuous,
@@ -16,7 +20,7 @@ from specsiam.bayesopt import (
     propose_next,
     write_trace_csv,
 )
-from specsiam.errors import DataError
+from specsiam.errors import DataError, NumericalError
 
 
 def oracle_matern52(xa, xb, lengthscales, signal_var):
@@ -42,6 +46,41 @@ def oracle_predict(gp, xq):
     kxx = np.diag(oracle_matern52(xq, xq, gp.lengthscales, gp.signal_var))
     var = (kxx - np.einsum("ij,ji->i", k_star.T, np.linalg.solve(k, k_star))) * gp.y_scale**2
     return mu, np.maximum(var, 0.0)
+
+
+def oracle_neg_log_marginal(log_params, x, y_std, fixed_noise):
+    """The value-only objective gp_fit searched with finite-difference gradients."""
+    d = x.shape[1]
+    ls = np.exp(log_params[:d])
+    sf = math.exp(log_params[d])
+    sn = fixed_noise if fixed_noise is not None else max(math.exp(log_params[d + 1]), bayesopt.NOISE_FLOOR)
+    k = bayesopt._matern52(x, x, ls, sf)
+    n = x.shape[0]
+    try:
+        lower = sp_linalg.cholesky(k + (sn + 1e-12) * np.eye(n), lower=True)
+    except sp_linalg.LinAlgError:
+        return 1e9
+    alpha = sp_linalg.cho_solve((lower, True), y_std)
+    lml = (
+        -0.5 * float(y_std @ alpha)
+        - float(np.log(np.diag(lower)).sum())
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    if not math.isfinite(lml):
+        return 1e9
+    return -lml
+
+
+def oracle_ei(gp, xq, best_value):
+    """EI through scipy.stats.norm, as expected_improvement computed it before."""
+    mu, var = gp.predict(xq)
+    sigma = np.sqrt(var)
+    improve = mu - best_value
+    ei = np.maximum(improve, 0.0)
+    live = sigma > 1e-12
+    z = improve[live] / sigma[live]
+    ei[live] = improve[live] * norm.cdf(z) + sigma[live] * norm.pdf(z)
+    return np.maximum(ei, 0.0)
 
 
 class TestSpaceMappings:
@@ -165,6 +204,74 @@ class TestGp:
             gp_fit(np.zeros((0, 1)), np.zeros(0))
 
 
+class TestAnalyticGradients:
+    def data(self, n=9, d=3, seed=4):
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, d))
+        y = np.sin(4.0 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
+        return x, y
+
+    @pytest.mark.parametrize("noise", [None, 1e-4], ids=["fitted-noise", "fixed-noise"])
+    def test_log_marginal_value_exact_and_gradient_matches_finite_differences(self, noise):
+        x, y = self.data()
+        y_std = (y - y.mean()) / y.std()
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            params = [*rng.uniform(math.log(0.05), math.log(3.0), 3), rng.uniform(-2.0, 2.0)]
+            if noise is None:
+                params.append(rng.uniform(math.log(1e-5), 0.0))
+            params = np.array(params)
+            value, grad = bayesopt._neg_log_marginal(params, x, y_std, noise)
+            assert value == oracle_neg_log_marginal(params, x, y_std, noise)
+            fd = approx_fprime(params, oracle_neg_log_marginal, 1e-7, x, y_std, noise)
+            np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-5 * max(1.0, abs(value)))
+
+    def test_ei_value_is_expected_improvement_and_gradient_matches_finite_differences(self):
+        x, y = self.data()
+        gp = gp_fit(x, y, seed=1)
+        rng = np.random.default_rng(9)
+        checked = 0
+        for best in (float(y.min()), float(np.median(y)), float(y.max())):
+            for u in rng.random((8, 3)):
+                value, grad = bayesopt._neg_ei_and_grad(u, gp, best)
+                assert -value == expected_improvement(gp, u, best)
+                if -value < 1e-6:  # EI underflows far below the best value
+                    continue
+                fd = approx_fprime(u, lambda q: -expected_improvement(gp, q, best), 1e-8)
+                np.testing.assert_allclose(grad, fd, rtol=1e-3, atol=1e-5)
+                checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5], ids=["improving", "not-improving"])
+    def test_ei_gradient_where_sigma_vanishes(self, offset):
+        # Near-interpolating GP: sigma ~ 0 at the training points, so EI is
+        # max(mu - best, 0) there and its gradient dmu/du or 0.
+        x, y = self.data()
+        gp = gp_fit(x, y, noise=1e-10, seed=1)
+        best = float(y.min() if offset < 0 else y.max()) + offset
+        for u in x[:4]:
+            _, var = gp.predict(u)
+            assert var[0] < 1e-9
+            value, grad = bayesopt._neg_ei_and_grad(u, gp, best)
+            assert -value == expected_improvement(gp, u, best)
+            fd = approx_fprime(u, lambda q: -expected_improvement(gp, q, best), 1e-8)
+            np.testing.assert_allclose(grad, fd, rtol=1e-3, atol=1e-5)
+
+    def test_ei_gradient_on_the_zero_sigma_branch(self):
+        gp = gp_fit(np.array([[0.5]]), np.array([2.0]), noise=0.0)
+        for best, ei in ((1.8, pytest.approx(0.2, abs=1e-9)), (2.0, 0.0)):
+            value, grad = bayesopt._neg_ei_and_grad(np.array([0.5]), gp, best)
+            assert -value == ei
+            assert grad.tolist() == [0.0]  # the mean is flat at its training point
+
+    def test_expected_improvement_equals_the_scipy_stats_formula(self):
+        x, y = self.data(n=12)
+        gp = gp_fit(x, y, seed=2)
+        queries = np.vstack([np.random.default_rng(3).random((500, 3)), x])
+        for best in (float(y.max()), float(y.mean())):
+            np.testing.assert_array_equal(expected_improvement(gp, queries, best), oracle_ei(gp, queries, best))
+
+
 class TestExpectedImprovement:
     def test_zero_sigma_no_improvement(self):
         gp = gp_fit(np.array([[0.5]]), np.array([2.0]), noise=0.0)
@@ -261,12 +368,12 @@ class TestProposeAndOptimize:
         assert runs[0][1].values == runs[1][1].values
         assert [c for c in runs[0][1].raw_configs] == [c for c in runs[1][1].raw_configs]
 
-    def test_objective_failure_penalized_not_fatal(self):
+    def test_objective_failure_penalized_not_fatal(self, tmp_path):
         space = SearchSpace((Continuous("x", 0.0, 1.0),))
 
         def objective(cfg):
             if cfg["x"] > 0.5:
-                raise RuntimeError("boom")
+                raise DataError("boom")
             return cfg["x"]
 
         best, state = optimize(objective, space, n_init=4, n_acquisitions=4, seed=3)
@@ -274,6 +381,26 @@ class TestProposeAndOptimize:
         assert state.failures
         assert all(v == 0.0 for v, c in zip(state.values, state.raw_configs) if c["x"] > 0.5)
         assert best["x"] <= 0.5
+        write_trace_csv(state, tmp_path / "trace.csv")
+        rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+        assert [row[-1] == "boom" for row in rows] == [float(row[1]) > 0.5 for row in rows]
+
+    @pytest.mark.parametrize("error", [NumericalError, ValueError])
+    def test_numerical_objective_failures_penalized(self, error):
+        def objective(cfg):
+            raise error("diverged")
+
+        _, state = optimize(objective, SearchSpace((Continuous("x", 0.0, 1.0),)), n_init=2,
+                            n_acquisitions=1, seed=0)
+        assert state.values == [0.0, 0.0, 0.0]
+        assert [f["error"] for f in state.failures] == ["diverged"] * 3
+
+    def test_objective_bug_propagates(self):
+        def objective(cfg):
+            return cfg["x"] + "1"  # TypeError: a bug, not a bad configuration
+
+        with pytest.raises(TypeError):
+            optimize(objective, SearchSpace((Continuous("x", 0.0, 1.0),)), n_init=3, n_acquisitions=2, seed=0)
 
     def test_zero_dim_space_single_evaluation(self):
         best, state = optimize(lambda cfg: 0.4, SearchSpace(()), n_init=5, n_acquisitions=50, seed=0)
@@ -286,9 +413,9 @@ class TestProposeAndOptimize:
         path = tmp_path / "trace.csv"
         write_trace_csv(state, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,x,objective,cumulative_best"
+        assert lines[0] == "iteration,x,objective,cumulative_best,failure"
         assert len(lines) == 6
-        best_col = [float(line.split(",")[-1]) for line in lines[1:]]
+        best_col = [float(line.split(",")[-2]) for line in lines[1:]]
         assert best_col == sorted(best_col)
 
     def test_propose_requires_history(self):

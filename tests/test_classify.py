@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from specsiam import classify
 from specsiam.classify import (
     ClassifierKind,
     ClassifierSpec,
@@ -78,7 +79,148 @@ def kkt_violation(model, x, y):
     return worst
 
 
+def oracle_column_split(xcol, y, mode):
+    """Best split of one column: the per-feature argsort search trees used before presorting."""
+    order = np.argsort(xcol, kind="stable")
+    xs, ys = xcol[order], y[order]
+    boundaries = np.nonzero(xs[1:] != xs[:-1])[0]
+    if boundaries.size == 0:
+        return None
+    n = xs.size
+    n_left = boundaries + 1
+    n_right = n - n_left
+    if mode == "gini":
+        ones = np.cumsum(ys == 1)
+        left1 = ones[boundaries]
+        right1 = ones[-1] - left1
+        cost = (n_left * classify._gini(left1, n_left) + n_right * classify._gini(right1, n_right)) / n
+    else:
+        s = np.cumsum(ys)
+        s2 = np.cumsum(ys * ys)
+        sl, sl2 = s[boundaries], s2[boundaries]
+        sr, sr2 = s[-1] - sl, s2[-1] - sl2
+        var_left = sl2 / n_left - (sl / n_left) ** 2
+        var_right = sr2 / n_right - (sr / n_right) ** 2
+        cost = (n_left * var_left + n_right * var_right) / n
+    best = int(np.argmin(cost))
+    threshold = 0.5 * (xs[boundaries[best]] + xs[boundaries[best] + 1])
+    return float(cost[best]), float(threshold)
+
+
+def oracle_node_split(x, y, features, mode):
+    """Scan features in order; a later one wins only when cheaper by more than 1e-15."""
+    best = None
+    for j in features:
+        found = oracle_column_split(x[:, j], y, mode)
+        if found is None:
+            continue
+        cost, threshold = found
+        if best is None or cost < best[0] - 1e-15:
+            best = (cost, int(j), threshold)
+    return best
+
+
+def oracle_build_tree(x, y, mode, max_depth, rng, subsample_features, presorted=None, depth=0):
+    """The tree builder as it was before presorting, with classify._build_tree's signature."""
+    n, d = x.shape
+    if n < 2 or (max_depth is not None and depth >= max_depth):
+        return {"leaf": classify._leaf_value(y, mode)}
+    parent = classify._node_impurity(y, mode)
+    if parent <= 1e-15:
+        return {"leaf": classify._leaf_value(y, mode)}
+    if subsample_features and rng is not None:
+        m = max(1, int(round(math.sqrt(d))))
+        features = np.sort(rng.choice(d, size=min(m, d), replace=False))
+    else:
+        features = np.arange(d)
+    best = oracle_node_split(x, y, features, mode)
+    if best is None or best[0] >= parent - 1e-12:
+        return {"leaf": classify._leaf_value(y, mode)}
+    _, j, threshold = best
+    mask = x[:, j] <= threshold
+    return {
+        "feature": j,
+        "threshold": threshold,
+        "left": oracle_build_tree(x[mask], y[mask], mode, max_depth, rng, subsample_features, depth=depth + 1),
+        "right": oracle_build_tree(x[~mask], y[~mask], mode, max_depth, rng, subsample_features, depth=depth + 1),
+    }
+
+
+def split_tables():
+    """(name, x, binary y): random, tie-heavy, constant-column and duplicated-row tables."""
+    rng = np.random.default_rng(21)
+    out = []
+    for n, d in ((10, 301), (24, 7), (9, 2)):
+        x = rng.standard_normal((n, d))
+        y = rng.integers(0, 2, n)
+        y[:2] = (0, 1)
+        constant = x.copy()
+        constant[:, ::2] = 1.5
+        out += [
+            (f"random-{n}x{d}", x, y),
+            (f"ties-{n}x{d}", np.round(0.7 * x), y),
+            (f"constant-{n}x{d}", constant, y),
+            (f"duplicated-{n}x{d}", np.vstack([x, x[::2]]), np.concatenate([y, y[::2]])),
+        ]
+    out.append(("all-constant", np.ones((6, 4)), np.array([0, 1, 0, 1, 1, 0])))
+    return out
+
+
 # ---------------------------------------------------------------------------
+
+class TestTreeSplits:
+    @pytest.mark.parametrize("block_bytes", [classify.SPLIT_BLOCK_BYTES, 1], ids=["one-block", "per-feature"])
+    @pytest.mark.parametrize("mode", ["gini", "mse"])
+    @pytest.mark.parametrize("name, x, y", split_tables(), ids=[t[0] for t in split_tables()])
+    def test_presorted_split_equals_per_column_search(self, name, x, y, mode, block_bytes, monkeypatch):
+        monkeypatch.setattr(classify, "SPLIT_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(5)
+        target = y if mode == "gini" else np.round(y - rng.random(y.size), 1)  # tie-prone residuals
+        xt, order = classify._presort(x)
+        n, d = x.shape
+        masks = [np.ones(n, dtype=bool)] + [rng.random(n) < 0.6 for _ in range(4)]
+        subsets = [np.arange(d), np.sort(rng.choice(d, size=max(1, d // 3), replace=False))]
+        for in_node in masks:
+            if in_node.sum() < 2:
+                continue
+            for features in subsets:
+                rows = order[features]
+                rows = rows[in_node[rows]].reshape(features.size, int(in_node.sum()))
+                got = classify._best_split(xt, target, rows, features, mode)
+                want = oracle_node_split(x[in_node], target[in_node], features, mode)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got == (want[0], want[1], want[2])
+
+    def test_feature_cheaper_by_less_than_1e_15_does_not_win(self):
+        # Both columns split the rows into the same halves; the rounding of
+        # their in-half order makes column 1 cheaper by about 2.6e-16, which
+        # the scan's 1e-15 margin ignores, where a plain argmin would not.
+        x = np.array([[0.274, 0.368], [0.361, 0.453], [0.245, 0.433], [0.08, 0.273],
+                      [1.202, 1.347], [1.41, 1.336], [1.301, 1.148], [1.158, 1.198]])
+        y = np.array([0.036, 1.655, 0.603, -0.595, 1.461, 1.827, 1.65, 2.004])
+        cost0, _ = oracle_column_split(x[:, 0], y, "mse")
+        cost1, _ = oracle_column_split(x[:, 1], y, "mse")
+        assert cost0 - 1e-15 < cost1 < cost0
+        xt, order = classify._presort(x)
+        assert classify._best_split(xt, y, order, np.arange(2), "mse") == (cost0, 0, 0.3175)
+
+    @pytest.mark.parametrize("name, x, y", split_tables(), ids=[t[0] for t in split_tables()])
+    def test_whole_models_equal_the_per_column_builder(self, name, x, y, monkeypatch):
+        specs = [
+            (GradientBoostingClassifier, {"n_estimators": 20, "max_depth": 3, "learning_rate": 0.1}),
+            (GradientBoostingClassifier, {"n_estimators": 5, "max_depth": 7, "learning_rate": 0.05}),
+            (RandomForestClassifier, {"n_estimators": 6}),
+            (RandomForestClassifier, {"n_estimators": 3, "max_depth": 2}),
+        ]
+        for cls, params in specs:
+            got = json.dumps(model_to_dict(cls(seed=3, **params).fit(x, y)))
+            with monkeypatch.context() as patch:
+                patch.setattr(classify, "_build_tree", oracle_build_tree)
+                want = json.dumps(model_to_dict(cls(seed=3, **params).fit(x, y)))
+            assert got == want, (cls.__name__, params)
+
 
 class TestKnn:
     def fixture(self, seed=0, n=8, d=3):

@@ -103,6 +103,26 @@ class TestExitCodes:
         assert str(ckpt) in err and field in err
 
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("{}", "missing field 'channel_level'"),
+            ("pipeline,accuracy\nFFT-kNN,0.9\n", "not a JSON report"),
+            ('{"channel_level": {"accuracy": {"mean": 0.9}}, "subject_level": {}}',
+             "field 'channel_level.accuracy' needs numeric 'mean' and 'std'"),
+        ],
+        ids=["empty-object", "not-json", "block-without-std"],
+    )
+    def test_report_on_malformed_file_is_data_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "report.json"
+        path.write_text(content)
+        code = main(["report", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(path) in err and message in err
+
+
 class TestStft:
     def test_writes_images(self, synth_dir, tmp_path):
         out = tmp_path / "stft"
