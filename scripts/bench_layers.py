@@ -16,6 +16,12 @@ of depth 3) on a 10x301 table (the FFT features of a 10-s, 64-Hz channel) and
 on a 128x8 table (twin-network features), one `gp_fit` and one `propose_next`
 with the SVM search space (d = 3) after n = 9 evaluations.
 
+A third table times one training step (loss and every gradient, dropout on)
+of the default net at the paper batch shape, for k = 3, 5 and 12: 16
+subject pairs over 27 distinct subjects, 16 channels, so 256 pairs of 129x59
+images, 512 twin rows over 432 distinct images. It is the best of
+min(--repeats, 3) steps and needs about 1 GB.
+
     python3 scripts/bench_layers.py --repeats 7
 """
 
@@ -35,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from specsiam import bayesopt, classify  # noqa: E402
+from specsiam.pairing import PairBatch, PairExample  # noqa: E402
 from specsiam import siamese as S  # noqa: E402
 
 # (name, batch, image shape, conv1 filters, conv2 filters, kernel sizes)
@@ -106,6 +113,29 @@ def stage_rows(repeats, rng):
     print(f"| propose_next | n=9, d=3 | {ms:.1f} |", flush=True)
 
 
+def paper_batch(rng, n_channels=16, shape=(129, 59)):
+    """16 subject pairs over 27 distinct subjects, one pair per channel each."""
+    subject_pairs = [(2 * i, 2 * i + 1) for i in range(13)] + [(26, 0), (1, 2), (3, 4)]
+    images = {(f"s{s}", ch): rng.random(shape) for s in range(27) for ch in range(n_channels)}
+    pairs = tuple(
+        PairExample(f"s{a}", f"s{b}", ch, (a + b) % 2)
+        for a, b in subject_pairs for ch in range(n_channels)
+    )
+    return PairBatch(pairs, n_channels), images
+
+
+def step_rows(repeats, rng):
+    batch, images = paper_batch(rng)
+    shape = next(iter(images.values())).shape
+    print("| k | pairs | distinct images | step ms |")
+    print("|---|---|---|---|")
+    for k in (3, 5, 12):
+        model = S.init_model(S.NetConfig(kernel_size=k, seed=0), shape)
+        masks = S.sample_dropout_masks(model, batch.n_pairs)
+        ms = best_ms(S.gradient, model, batch, images, masks, repeats=min(repeats, 3))
+        print(f"| {k} | {batch.n_pairs} | {len(images)} | {ms:.0f} |", flush=True)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--repeats", type=int, default=5)
@@ -126,6 +156,8 @@ def main():
         pool_rows(name, x, args.repeats)
     print()
     stage_rows(args.repeats, rng)
+    print()
+    step_rows(args.repeats, rng)
 
 
 if __name__ == "__main__":

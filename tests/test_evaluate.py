@@ -254,6 +254,12 @@ class TestLoocv:
         b = loocv(ds, "FFT-kNN", micro_config(jobs=3), seed=5)
         assert report_to_json(a) == report_to_json(b)
 
+    def test_jobs_do_not_change_strict_snn_results(self):
+        ds = micro_cohort(3, 3, duration_s=6.0)
+        a = loocv(ds, "DSTFT-SNN-kNN", micro_config(mode="strict", jobs=1), seed=5)
+        b = loocv(ds, "DSTFT-SNN-kNN", micro_config(mode="strict", jobs=2), seed=5)
+        assert report_to_json(a) == report_to_json(b)
+
     def test_deterministic_reports(self):
         ds = micro_cohort(3, 3)
         a = loocv(ds, "DSTFT-SNN-NB", micro_config(clf_params=None), seed=7)

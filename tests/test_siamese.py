@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specsiam import siamese
 from specsiam.errors import DataError, NumericalError
 from specsiam.pairing import PairBatch, PairExample
 from specsiam.siamese import (
@@ -138,6 +139,144 @@ def finite_difference_check(model, batch, images, masks, h=1e-4, tol=1e-3):
 
 
 # ---------------------------------------------------------------------------
+# two-full-twin oracle: the training step before stage 1 was shared, which ran
+# the whole base network once per twin on (B, H, W) stacks of pair members
+
+def oracle_forward_base(model, x, masks):
+    cfg = model.config
+    pool = cfg.pooling == "max2x2"
+    keep = 1.0 - cfg.dropout_p
+    z1, conv1 = siamese._conv_forward(x[:, None, :, :], model.conv1_w, model.conv1_b)
+    r1 = np.maximum(z1, 0.0)
+    if pool:
+        p1, pc1 = siamese._pool_forward(r1)
+    else:
+        p1, pc1 = r1, None
+    a1 = p1 * masks[0] / keep if masks is not None else p1
+    z2, conv2 = siamese._conv_forward(a1, model.conv2_w, model.conv2_b)
+    r2 = np.maximum(z2, 0.0)
+    if pool:
+        p2, pc2 = siamese._pool_forward(r2)
+    else:
+        p2, pc2 = r2, None
+    a2 = p2 * masks[1] / keep if masks is not None else p2
+    flat = a2.reshape(a2.shape[0], -1)
+    zf = flat @ model.fc_w.T + model.fc_b
+    f = siamese._softmax_rows(zf)
+    cache = (conv1, z1, pc1, a1.shape, conv2, z2, pc2, flat, f, masks)
+    return f, cache
+
+
+def oracle_backward_base(model, df, cache):
+    cfg = model.config
+    pool = cfg.pooling == "max2x2"
+    keep = 1.0 - cfg.dropout_p
+    conv1, z1, pc1, a1_shape, conv2, z2, pc2, flat, f, masks = cache
+    dzf = f * (df - (f * df).sum(axis=1, keepdims=True))
+    g_fc_w = dzf.T @ flat
+    g_fc_b = dzf.sum(axis=0)
+    h, w = z2.shape[2], z2.shape[3]
+    da2 = (dzf @ model.fc_w).reshape(z2.shape[0], cfg.conv2_filters, *((h // 2, w // 2) if pool else (h, w)))
+    dp2 = da2 * masks[1] / keep if masks is not None else da2
+    dr2 = siamese._pool_backward(dp2, pc2) if pool else dp2
+    dz2 = dr2 * (z2 > 0)
+    g2w = siamese._conv_dw(conv2, dz2, model.conv2_w)
+    g2b = dz2.sum(axis=(0, 2, 3))
+    da1 = siamese._conv_dx(dz2, model.conv2_w, a1_shape)
+    dp1 = da1 * masks[0] / keep if masks is not None else da1
+    dr1 = siamese._pool_backward(dp1, pc1) if pool else dp1
+    dz1 = dr1 * (z1 > 0)
+    g1w = siamese._conv_dw(conv1, dz1, model.conv1_w)
+    g1b = dz1.sum(axis=(0, 2, 3))
+    return {"conv1_w": g1w, "conv1_b": g1b, "conv2_w": g2w, "conv2_b": g2b, "fc_w": g_fc_w, "fc_b": g_fc_b}
+
+
+def oracle_loss_and_grads(model, xa, xb, y, masks):
+    cfg = model.config
+    masks_a, masks_b = (masks["a"], masks["b"]) if masks is not None else (None, None)
+    fa, cache_a = oracle_forward_base(model, xa, masks_a)
+    fb, cache_b = oracle_forward_base(model, xb, masks_b)
+    d, _ = siamese._pair_distances(fa, fb, cfg.distance)
+    gap = np.maximum(0.0, cfg.margin - d)
+    losses = y * d * d + (1.0 - y) * gap * gap
+    loss = float(losses.mean()) + siamese._l1_penalty(model)
+    n = d.size
+    dd = (2.0 * y * d - 2.0 * (1.0 - y) * gap) / n
+    if cfg.distance == "euclidean":
+        safe = np.where(d > 0.0, d, 1.0)
+        unit = np.where(d[:, None] > 0.0, (fa - fb) / safe[:, None], 0.0)
+        dfa = dd[:, None] * unit
+        dfb = -dfa
+    else:
+        na = np.linalg.norm(fa, axis=1)
+        nb = np.linalg.norm(fb, axis=1)
+        cos = 1.0 - d
+        dfa = dd[:, None] * (cos[:, None] * fa / (na * na)[:, None] - fb / (na * nb)[:, None])
+        dfb = dd[:, None] * (cos[:, None] * fb / (nb * nb)[:, None] - fa / (na * nb)[:, None])
+    grads_a = oracle_backward_base(model, dfa, cache_a)
+    grads_b = oracle_backward_base(model, dfb, cache_b)
+    grads = {k: grads_a[k] + grads_b[k] for k in grads_a}
+    lam = cfg.l1_lambda
+    if lam != 0.0:
+        for name in ("conv1_w", "conv2_w", "fc_w"):
+            grads[name] = grads[name] + lam * np.sign(model.params()[name])
+    return loss, grads
+
+
+def repeated_image_batch(model, n_subjects, n_channels, seed):
+    """Every same-channel pair of n_subjects random subjects: each image recurs
+    in n_subjects - 1 pairs, under twin a in some and twin b in others."""
+    rng = np.random.default_rng(seed)
+    subjects = [f"s{i}" for i in range(n_subjects)]
+    images = {(s, ch): rng.random(model.input_shape) for s in subjects for ch in range(n_channels)}
+    pairs = tuple(
+        PairExample(a, b, ch, int(rng.integers(0, 2)))
+        for i, a in enumerate(subjects) for b in subjects[i + 1:] for ch in range(n_channels)
+    )
+    return PairBatch(pairs, n_channels), images
+
+
+# ---------------------------------------------------------------------------
+
+class TestSharedStageMatchesTwoTwinOracle:
+    """The step that runs stage 1 once per distinct image equals the step that
+    ran the whole network per twin, on batches where images repeat."""
+
+    @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("dropout", [True, False])
+    @pytest.mark.parametrize("pooling", ["none", "max2x2"])
+    @pytest.mark.parametrize("k", [3, 12])
+    def test_loss_and_every_gradient(self, k, pooling, dropout, distance):
+        shape = {(3, "none"): (9, 11), (3, "max2x2"): (13, 12), (12, "none"): (26, 25), (12, "max2x2"): (39, 38)}
+        config = NetConfig(kernel_size=k, conv1_filters=2, conv2_filters=3, output_dim=4,
+                           l1_lambda=1e-3, margin=1.2, dropout_p=0.4, pooling=pooling,
+                           distance=distance, seed=k)
+        model = init_model(config, shape[(k, pooling)])
+        # k=3 runs both convolutions directly, k=12 both through the FFT
+        assert siamese._is_direct(model.conv1_w) == siamese._is_direct(model.conv2_w) == (k == 3)
+        batch, images = repeated_image_batch(model, n_subjects=5, n_channels=2, seed=k + len(pooling))
+        masks = sample_dropout_masks(model, batch.n_pairs) if dropout else None
+        x, rows_a, rows_b, y = siamese._batch_arrays(batch, images)
+        assert x.shape[0] == 10 and rows_a.size == 20
+        xa = np.stack([images[(p.subject_a, p.channel_index)] for p in batch.pairs])
+        xb = np.stack([images[(p.subject_b, p.channel_index)] for p in batch.pairs])
+        np.testing.assert_array_equal(x[rows_a], xa)
+        np.testing.assert_array_equal(x[rows_b], xb)
+        loss, grads = siamese._loss_and_grads(model, x, rows_a, rows_b, y, masks)
+        ref_loss, ref_grads = oracle_loss_and_grads(model, xa, xb, y, masks)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        assert list(grads) == list(ref_grads)
+        for name in ref_grads:
+            # the atol floor only spares entries that cancel to near zero
+            atol = 1e-15 * np.abs(ref_grads[name]).max()
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=atol, err_msg=name)
+
+    def test_missing_image_names_the_member(self):
+        model, batch, images = tiny_setup(61, n_pairs=3)
+        del images[("s3", 0)]
+        with pytest.raises(DataError, match=r"pair member \('s3', 0\)"):
+            batch_loss(model, batch, images)
+
 
 class TestForward:
     def test_zero_model_uniform_softmax(self):
@@ -460,6 +599,40 @@ class TestFeaturesAndAccuracy:
             images[(b, 0)] = image  # d = 0 for every pair
             pairs.append(PairExample(a, b, 0, y))
         assert pair_accuracy(model, pairs, images) == pytest.approx(0.6)
+
+    def many_image_pairs(self, model, n_subjects=300, seed=6):
+        """Two channels of n_subjects random subjects (more than one 512-image
+        chunk) and pairs in which every image recurs."""
+        rng = np.random.default_rng(seed)
+        images = {(f"s{i}", ch): rng.random(model.input_shape) for i in range(n_subjects) for ch in (0, 1)}
+        pairs = [
+            PairExample(f"s{i}", f"s{(i + step) % n_subjects}", ch, int(rng.integers(0, 2)))
+            for step in (1, 7) for i in range(n_subjects) for ch in (0, 1)
+        ]
+        return pairs, images
+
+    def test_pair_accuracy_matches_per_pair_oracle(self):
+        model, _, _ = tiny_setup(33)
+        pairs, images = self.many_image_pairs(model)
+        assert len({(p.subject_a, p.channel_index) for p in pairs}) > 512
+        d = np.array([
+            cosine_distance(base_forward(model, images[(p.subject_a, p.channel_index)]),
+                            base_forward(model, images[(p.subject_b, p.channel_index)]))
+            for p in pairs
+        ])
+        spread = np.sort(d)
+        for q in (0.25, 0.5, 0.75):  # tau halfway between two neighbouring distances
+            i = int(q * len(spread))
+            tau = float(spread[i - 1] + spread[i]) / 2.0
+            expected = sum(int((di < tau) == (p.y == 1)) for di, p in zip(d, pairs)) / len(pairs)
+            assert pair_accuracy(model, pairs, images, tau=tau) == expected
+
+    def test_pair_accuracy_missing_image_names_the_member(self):
+        model, _, _ = tiny_setup(34)
+        pairs, images = self.many_image_pairs(model)
+        del images[("s299", 1)]
+        with pytest.raises(DataError, match=r"pair member \('s299', 1\)"):
+            pair_accuracy(model, pairs, images)
 
     def test_pair_accuracy_validation(self):
         model, batch, images = tiny_setup(32)
