@@ -10,11 +10,13 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
+from enum import Enum
 from pathlib import Path
 
 from . import classify as classify_mod
@@ -22,11 +24,12 @@ from . import evaluate
 from .bayesopt import write_trace_csv
 from .classify import ClassifierKind, ClassifierSpec, LabeledFeatures
 from .errors import DataError, NumericalError
-from .evaluate import MetricsReport, PipelineConfig
+from .evaluate import MetricsReport, PipelineConfig, write_json
 from .pairing import balance_pairs, build_pairs, stats_from_labels
 from .siamese import NetConfig, extract_features, init_model, load_checkpoint, save_checkpoint, train
 from .signals import Label, generate_synthetic_cohort, load_dataset, read_manifest, save_dataset
-from .spectral import StftConfig, WindowFn, compute_images, export_image_csv, export_image_pgm
+from .spectral import (StftConfig, compute_images, config_from_dict, config_to_dict, convert_value,
+                       export_image_csv, export_image_pgm)
 
 __all__ = ["main"]
 
@@ -52,27 +55,26 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_file_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    path = Path(args.config)
-    if not path.is_file():
-        raise DataError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    return cfg
-
-
-def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
-    """defaults <- config file <- explicitly passed flags."""
+def _resolve(args, defaults: dict) -> dict:
+    """defaults <- config file <- explicitly passed flags. A file value is
+    converted by the type of its default; a file key without a default is
+    not read by the command, so it is an error."""
     resolved = dict(defaults)
+    if getattr(args, "config", None):
+        path = Path(args.config)
+        if not path.is_file():
+            raise DataError(f"config file not found: {path}")
+        try:
+            file_cfg = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise DataError(f"config file {path} must hold a JSON object")
+        for key, value in file_cfg.items():
+            if key not in defaults:
+                raise DataError(f"config file {path}: unknown key '{key}'")
+            resolved[key] = convert_value(defaults[key], value, f"config file {path}", key)
     for key in defaults:
-        if key in file_cfg:
-            resolved[key] = file_cfg[key]
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             resolved[key] = cli_value
@@ -80,84 +82,28 @@ def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
 
 
 def _write_run_manifest(out: Path, command: str, resolved: dict) -> None:
-    payload = {"command": command, "resolved": resolved}
-    (out / "run_manifest.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "run_manifest.json", {"command": command, "resolved": resolved})
 
 
-def _stft_defaults() -> dict:
-    cfg = StftConfig()
-    return {
-        "window_s": cfg.window_s,
-        "hop_s": cfg.hop_s,
-        "window_fn": cfg.window_fn.value,
-        "upper_value": cfg.upper_value,
-    }
+def _resolve_configs(args, *classes) -> tuple[dict, list]:
+    """The resolved fields of the config classes, all but seed, which comes
+    from --seed, and one config of each class."""
+    defaults = {k: v for cls in classes for k, v in config_to_dict(cls()).items() if k != "seed"}
+    resolved = _resolve(args, defaults)
+    values = {**resolved, "seed": getattr(args, "seed", None)}
+    source = f"config file {args.config}" if getattr(args, "config", None) else "flags"
+    return resolved, [config_from_dict(cls, {f.name: values[f.name] for f in fields(cls)}, source)
+                      for cls in classes]
 
 
-def _net_defaults() -> dict:
-    cfg = NetConfig()
-    return {
-        "kernel_size": cfg.kernel_size,
-        "conv1_filters": cfg.conv1_filters,
-        "conv2_filters": cfg.conv2_filters,
-        "output_dim": cfg.output_dim,
-        "l1_lambda": cfg.l1_lambda,
-        "margin": cfg.margin,
-        "learning_rate": cfg.learning_rate,
-        "dropout_p": cfg.dropout_p,
-        "epochs": cfg.epochs,
-        "pooling": cfg.pooling,
-        "distance": cfg.distance,
-    }
-
-
-def _stft_from(resolved: dict) -> StftConfig:
-    return StftConfig(
-        window_s=float(resolved["window_s"]),
-        hop_s=float(resolved["hop_s"]),
-        window_fn=WindowFn(resolved["window_fn"]),
-        upper_value=float(resolved["upper_value"]),
-    )
-
-
-def _net_from(resolved: dict, seed: int) -> NetConfig:
-    return NetConfig(
-        kernel_size=int(resolved["kernel_size"]),
-        conv1_filters=int(resolved["conv1_filters"]),
-        conv2_filters=int(resolved["conv2_filters"]),
-        output_dim=int(resolved["output_dim"]),
-        l1_lambda=float(resolved["l1_lambda"]),
-        margin=float(resolved["margin"]),
-        learning_rate=float(resolved["learning_rate"]),
-        dropout_p=float(resolved["dropout_p"]),
-        epochs=int(resolved["epochs"]),
-        pooling=str(resolved["pooling"]),
-        distance=str(resolved["distance"]),
-        seed=seed,
-    )
-
-
-def _add_stft_flags(parser) -> None:
-    parser.add_argument("--window-s", dest="window_s", type=float)
-    parser.add_argument("--hop-s", dest="hop_s", type=float)
-    parser.add_argument("--window-fn", dest="window_fn", choices=["rectangular", "hann"])
-    parser.add_argument("--upper-value", dest="upper_value", type=float)
-
-
-def _add_net_flags(parser) -> None:
-    parser.add_argument("--kernel-size", dest="kernel_size", type=int)
-    parser.add_argument("--conv1-filters", dest="conv1_filters", type=int)
-    parser.add_argument("--conv2-filters", dest="conv2_filters", type=int)
-    parser.add_argument("--output-dim", dest="output_dim", type=int)
-    parser.add_argument("--l1-lambda", dest="l1_lambda", type=float)
-    parser.add_argument("--margin", dest="margin", type=float)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--dropout-p", dest="dropout_p", type=float)
-    parser.add_argument("--epochs", dest="epochs", type=int)
-    parser.add_argument("--pooling", dest="pooling", choices=["none", "max2x2"])
-    parser.add_argument("--distance", dest="distance", choices=["cosine", "euclidean"])
+def _add_config_flags(parser, *classes) -> None:
+    """One --name-with-dashes flag per config field but seed; enum and choice fields keep their choices."""
+    for cls in classes:
+        for f in (f for f in fields(cls) if f.name != "seed"):
+            kind = type(f.default)
+            choices = [m.value for m in kind] if issubclass(kind, Enum) else f.metadata.get("choices")
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                type=str if choices else kind, choices=choices)
 
 
 def _add_clf_flags(parser) -> None:
@@ -209,7 +155,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stft", help="export spectral images for a cohort")
     p.add_argument("--manifest", required=True)
-    _add_stft_flags(p)
+    _add_config_flags(p, StftConfig)
     p.add_argument("--pgm", action="store_true", help="also write PGM previews")
     p.add_argument("--config")
     p.add_argument("--out")
@@ -227,8 +173,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--tuning-epochs", dest="tuning_epochs", type=int)
-    _add_stft_flags(p)
-    _add_net_flags(p)
+    _add_config_flags(p, StftConfig, NetConfig)
     p.add_argument("--config")
     p.add_argument("--out")
 
@@ -236,8 +181,7 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--balance", action="store_true")
-    _add_stft_flags(p)
-    _add_net_flags(p)
+    _add_config_flags(p, StftConfig, NetConfig)
     p.add_argument("--config")
     p.add_argument("--out")
 
@@ -247,7 +191,7 @@ def build_parser() -> _Parser:
     group.add_argument("--checkpoint", help="trained network checkpoint")
     group.add_argument("--fft", action="store_true", help="baseline spectrum features")
     p.add_argument("--max-freq-hz", dest="max_freq_hz", type=float, default=30.0)
-    _add_stft_flags(p)
+    _add_config_flags(p, StftConfig)
     p.add_argument("--out")
 
     p = sub.add_parser("tune-clf", help="Bayesian-optimize a classifier")
@@ -279,8 +223,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tuning-k", dest="tuning_k", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--balance", action="store_true")
-    _add_stft_flags(p)
-    _add_net_flags(p)
+    _add_config_flags(p, StftConfig, NetConfig)
     _add_clf_flags(p)
     p.add_argument("--config")
     p.add_argument("--out")
@@ -301,8 +244,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tuning-epochs", dest="tuning_epochs", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--balance", action="store_true")
-    _add_stft_flags(p)
-    _add_net_flags(p)
+    _add_config_flags(p, StftConfig, NetConfig)
     _add_clf_flags(p)
     p.add_argument("--config")
     p.add_argument("--out")
@@ -318,10 +260,8 @@ def build_parser() -> _Parser:
 
 def _cmd_synth(args) -> int:
     out = _out_dir(args)
-    file_cfg = _load_file_config(args)
     resolved = _resolve(
         args,
-        file_cfg,
         {
             "cases": 4,
             "controls": 4,
@@ -333,13 +273,13 @@ def _cmd_synth(args) -> int:
         },
     )
     dataset = generate_synthetic_cohort(
-        n_case=int(resolved["cases"]),
-        n_control=int(resolved["controls"]),
-        m_channels=int(resolved["channels"]),
-        duration_s=float(resolved["duration_s"]),
-        sample_rate_hz=float(resolved["sample_rate_hz"]),
-        noise_sigma=float(resolved["noise_sigma"]),
-        seed=int(resolved["seed"]),
+        n_case=resolved["cases"],
+        n_control=resolved["controls"],
+        m_channels=resolved["channels"],
+        duration_s=resolved["duration_s"],
+        sample_rate_hz=resolved["sample_rate_hz"],
+        noise_sigma=resolved["noise_sigma"],
+        seed=resolved["seed"],
     )
     manifest = save_dataset(dataset, out)
     _write_run_manifest(out, "synth", resolved)
@@ -350,9 +290,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_stft(args) -> int:
     out = _out_dir(args)
-    file_cfg = _load_file_config(args)
-    resolved = _resolve(args, file_cfg, _stft_defaults())
-    config = _stft_from(resolved)
+    resolved, (config,) = _resolve_configs(args, StftConfig)
     dataset = load_dataset(args.manifest)
     images = compute_images(dataset, config)
     img_dir = out / "images"
@@ -398,12 +336,11 @@ def _cmd_pairs(args) -> int:
 
 def _cmd_tune_snn(args) -> int:
     out = _out_dir(args)
-    file_cfg = _load_file_config(args)
-    resolved = _resolve(args, file_cfg, {**_stft_defaults(), **_net_defaults()})
+    resolved, (stft, net) = _resolve_configs(args, StftConfig, NetConfig)
     dataset = load_dataset(args.manifest)
     config = PipelineConfig(
-        stft=_stft_from(resolved),
-        net=_net_from(resolved, seed=args.seed),
+        stft=stft,
+        net=net,
         tau=args.tau,
         tuning_k=args.k,
         tuning_epochs=args.tuning_epochs,
@@ -413,29 +350,9 @@ def _cmd_tune_snn(args) -> int:
         dataset, config, n_init=args.init, n_acquisitions=args.budget, seed=args.seed
     )
     write_trace_csv(state, out / "snn_bo_trace.csv")
-    best = {
-        "best_objective": state.best_value,
-        "stft": {
-            "window_s": stft.window_s,
-            "hop_s": stft.hop_s,
-            "window_fn": stft.window_fn.value,
-            "upper_value": stft.upper_value,
-        },
-        "net": {
-            "kernel_size": net.kernel_size,
-            "conv1_filters": net.conv1_filters,
-            "conv2_filters": net.conv2_filters,
-            "output_dim": net.output_dim,
-            "l1_lambda": net.l1_lambda,
-            "margin": net.margin,
-            "learning_rate": net.learning_rate,
-            "dropout_p": net.dropout_p,
-            "epochs": net.epochs,
-            "pooling": net.pooling,
-            "distance": net.distance,
-        },
-    }
-    (out / "best_config.json").write_text(json.dumps(best, indent=2, sort_keys=True) + "\n")
+    best = {"best_objective": state.best_value, "stft": config_to_dict(stft), "net": config_to_dict(net)}
+    del best["net"]["seed"]
+    write_json(out / "best_config.json", best)
     _write_run_manifest(out, "tune-snn", {**resolved, "seed": args.seed, "best": best})
     _log(f"tune-snn: best objective {state.best_value:.4f}")
     return 0
@@ -443,11 +360,8 @@ def _cmd_tune_snn(args) -> int:
 
 def _cmd_train_snn(args) -> int:
     out = _out_dir(args)
-    file_cfg = _load_file_config(args)
-    resolved = _resolve(args, file_cfg, {**_stft_defaults(), **_net_defaults()})
+    resolved, (stft, net) = _resolve_configs(args, StftConfig, NetConfig)
     dataset = load_dataset(args.manifest)
-    stft = _stft_from(resolved)
-    net = _net_from(resolved, seed=args.seed)
     images = compute_images(dataset, stft)
     pairs = build_pairs(dataset, images)
     if args.balance:
@@ -457,14 +371,8 @@ def _cmd_train_snn(args) -> int:
     t0 = time.time()
     model, trace = train(model, pairs, images)
     _log(f"train-snn: {len(pairs)} pairs, {net.epochs} epochs in {time.time() - t0:.1f}s")
-    save_checkpoint(model, out / "checkpoint.json")
-    with open(out / "loss_trace.csv", "w", newline="", encoding="utf-8") as fh:
-        import csv as _csv
-
-        writer = _csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, loss in enumerate(trace):
-            writer.writerow([epoch, repr(float(loss))])
+    save_checkpoint(model, stft, out / "checkpoint.json")
+    evaluate.write_run_artifacts(out, loss_trace=trace)
     _write_run_manifest(out, "train-snn", {**resolved, "seed": args.seed, "balance": args.balance})
     _log(f"train-snn: final epoch loss {trace[-1]:.6f}")
     return 0
@@ -477,12 +385,18 @@ def _cmd_extract(args) -> int:
         table = evaluate.fft_feature_table(dataset, args.max_freq_hz)
         resolved: dict = {"fft": True, "max_freq_hz": args.max_freq_hz}
     else:
-        model = load_checkpoint(args.checkpoint)
-        stft_resolved = _resolve(args, {}, _stft_defaults())
-        stft = _stft_from(stft_resolved)
-        images = compute_images(dataset, stft)
-        table = extract_features(model, dataset, images)
-        resolved = {"checkpoint": str(args.checkpoint), **stft_resolved}
+        model, stft = load_checkpoint(args.checkpoint)
+        if stft is None:  # a version-1 checkpoint: flags, else defaults
+            _, (stft,) = _resolve_configs(args, StftConfig)
+        resolved = {"checkpoint": str(args.checkpoint), **config_to_dict(stft)}
+        for key, value in config_to_dict(stft).items():
+            passed = getattr(args, key)
+            if passed is not None and passed != value:
+                raise DataError(
+                    f"checkpoint {args.checkpoint} was trained on images with {key}={value!r}, "
+                    f"but --{key.replace('_', '-')} {passed!r} was passed"
+                )
+        table = extract_features(model, dataset, compute_images(dataset, stft))
     table.to_csv(out / "features.csv")
     _write_run_manifest(out, "extract", resolved)
     _log(f"extract: wrote {table.n_rows} rows x {table.n_features} features")
@@ -498,7 +412,7 @@ def _cmd_tune_clf(args) -> int:
     )
     write_trace_csv(state, out / "clf_bo_trace.csv")
     best = {"model": kind.value, "params": spec.params, "best_objective": state.best_value}
-    (out / "best_spec.json").write_text(json.dumps(best, indent=2, sort_keys=True) + "\n")
+    write_json(out / "best_spec.json", best)
     _write_run_manifest(
         out,
         "tune-clf",
@@ -517,15 +431,13 @@ def _cmd_classify(args) -> int:
     spec = ClassifierSpec(kind, params if params is not None else classify_mod.default_spec(kind).params)
     model = classify_mod.fit(spec, table, seed=args.seed)
     payload = {"spec": {"model": kind.value, "params": spec.params}, "fitted": classify_mod.model_to_dict(model)}
-    (out / "model.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out / "model.json", payload)
     resolved = {"features": str(args.features), "model": kind.value, "params": spec.params, "seed": args.seed}
     if args.predict:
         target = LabeledFeatures.from_csv(args.predict)
         preds = classify_mod.predict(model, target.x)
-        import csv as _csv
-
         with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["subject_id", "channel", "prediction"])
             for i in range(target.n_rows):
                 writer.writerow(
@@ -539,16 +451,15 @@ def _cmd_classify(args) -> int:
 
 
 def _pipeline_config_from_args(args) -> PipelineConfig:
-    file_cfg = _load_file_config(args)
-    resolved = _resolve(args, file_cfg, {**_stft_defaults(), **_net_defaults()})
+    _, (stft, net) = _resolve_configs(args, StftConfig, NetConfig)
     _, clf_kind = evaluate.parse_pipeline(args.pipeline)
     clf_params = _clf_params_from_args(args, clf_kind)
     clf_budget = None
     if getattr(args, "clf_init", None) is not None and getattr(args, "clf_acq", None) is not None:
         clf_budget = (args.clf_init, args.clf_acq)
     return PipelineConfig(
-        stft=_stft_from(resolved),
-        net=_net_from(resolved, seed=args.seed),
+        stft=stft,
+        net=net,
         max_freq_hz=args.max_freq_hz,
         mode=args.mode,
         tau=args.tau,
@@ -561,24 +472,18 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
     )
 
 
-def _persist_report(out: Path, report: MetricsReport) -> None:
-    (out / "report.json").write_text(evaluate.report_to_json(report), encoding="utf-8")
-    (out / "report.txt").write_text(evaluate.report_table([report]) + "\n", encoding="utf-8")
-    evaluate.write_fold_csv(report, out / "folds.csv")
-
-
 def _cmd_loocv(args) -> int:
     out = _out_dir(args)
     dataset = load_dataset(args.manifest)
     config = _pipeline_config_from_args(args)
     _log(f"loocv: {args.pipeline} over {dataset.n_subjects} subjects")
     report = evaluate.loocv(dataset, args.pipeline, config, seed=args.seed)
-    _persist_report(out, report)
+    evaluate.write_run_artifacts(out, report)
     _write_run_manifest(
         out,
         "loocv",
         {"pipeline": args.pipeline, "seed": args.seed,
-         "config": evaluate._config_to_dict(args.pipeline, config, args.seed)},
+         "config": evaluate.pipeline_config_to_dict(args.pipeline, config, args.seed)},
     )
     mean, std = report.channel["accuracy"]
     _log(f"loocv: channel accuracy {mean:.3f} +/- {std:.3f}")

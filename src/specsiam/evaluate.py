@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .siamese import (
     pair_accuracy,
 )
 from .signals import Dataset, Label, dataset_subset
-from .spectral import StftConfig, compute_images, fft_features
+from .spectral import StftConfig, compute_images, config_to_dict, fft_features
 
 __all__ = [
     "PIPELINES",
@@ -59,6 +59,9 @@ __all__ = [
     "tune_classifier",
     "compute_metrics",
     "run_pipeline",
+    "pipeline_config_to_dict",
+    "write_json",
+    "write_run_artifacts",
     "report_to_dict",
     "report_to_json",
     "report_table",
@@ -365,16 +368,12 @@ def snn_search_space() -> SearchSpace:
 
 
 def _apply_snn_config(stft: StftConfig, net: NetConfig, raw: dict) -> tuple[StftConfig, NetConfig]:
-    stft = replace(stft, upper_value=float(raw["upper_value"]))
-    net = replace(
-        net,
-        kernel_size=int(raw["kernel_size"]),
-        output_dim=int(raw["output_dim"]),
-        l1_lambda=float(raw["l1_lambda"]),
-        margin=float(raw["margin"]),
-        learning_rate=float(raw["learning_rate"]),
-    )
-    return stft, net
+    """Both configs with every field that raw holds set to its value, cast to the field's default type."""
+
+    def apply(config):
+        return replace(config, **{f.name: type(f.default)(raw[f.name]) for f in fields(config) if f.name in raw})
+
+    return apply(stft), apply(net)
 
 
 def tune_snn(
@@ -530,79 +529,59 @@ def run_pipeline(
     report, extras = _loocv_impl(dataset, name, config, seed)
 
     if out is not None:
+        trace = None
         if route == "snn":
-            model = extras["model"]
-            trace = extras["loss_trace"]
+            model, trace = extras["model"], extras["loss_trace"]
             if model is None:  # strict mode: train the deliverable model on everyone
                 images = extras["images"]
                 model, trace, _ = _train_snn(dataset, sorted(dataset.subject_ids), config, seed, images)
                 extras["table"] = extract_features(model, dataset, images)
             ckpt = out / "model_checkpoint.json"
-            save_checkpoint(model, ckpt)
+            save_checkpoint(model, config.stft, ckpt)
             artifacts["checkpoint"] = str(ckpt)
-            loss_path = out / "loss_trace.csv"
-            with open(loss_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["epoch", "mean_loss"])
-                for epoch, loss in enumerate(trace):
-                    writer.writerow([epoch, repr(float(loss))])
-            artifacts["loss_trace"] = str(loss_path)
         if extras["table"] is not None:
             feat_path = out / "features.csv"
             extras["table"].to_csv(feat_path)
             artifacts["features"] = str(feat_path)
-        report_json = out / "report.json"
-        report_json.write_text(report_to_json(report), encoding="utf-8")
-        artifacts["report_json"] = str(report_json)
-        report_txt = out / "report.txt"
-        report_txt.write_text(report_table([report]) + "\n", encoding="utf-8")
-        artifacts["report_txt"] = str(report_txt)
-        folds_csv = out / "folds.csv"
-        write_fold_csv(report, folds_csv)
-        artifacts["folds_csv"] = str(folds_csv)
+        artifacts.update(write_run_artifacts(out, report, trace))
         resolved = out / "pipeline_config.json"
-        resolved.write_text(
-            json.dumps(_config_to_dict(name, config, seed), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(resolved, pipeline_config_to_dict(name, config, seed))
         artifacts["pipeline_config"] = str(resolved)
     return report, artifacts
 
 
-def _config_to_dict(name: str, config: PipelineConfig, seed: int) -> dict:
-    return {
-        "pipeline": name,
-        "seed": seed,
-        "mode": config.mode,
-        "tau": config.tau,
-        "max_freq_hz": config.max_freq_hz,
-        "stft": {
-            "window_s": config.stft.window_s,
-            "hop_s": config.stft.hop_s,
-            "window_fn": config.stft.window_fn.value,
-            "upper_value": config.stft.upper_value,
-        },
-        "net": {
-            "kernel_size": config.net.kernel_size,
-            "conv1_filters": config.net.conv1_filters,
-            "conv2_filters": config.net.conv2_filters,
-            "output_dim": config.net.output_dim,
-            "l1_lambda": config.net.l1_lambda,
-            "margin": config.net.margin,
-            "learning_rate": config.net.learning_rate,
-            "dropout_p": config.net.dropout_p,
-            "epochs": config.net.epochs,
-            "pooling": config.net.pooling,
-            "distance": config.net.distance,
-        },
-        "clf_params": config.clf_params,
-        "snn_budget": list(config.snn_budget) if config.snn_budget else None,
-        "clf_budget": list(config.clf_budget) if config.clf_budget else None,
-        "tuning_epochs": config.tuning_epochs,
-        "tuning_k": config.tuning_k,
-        "balance": config.balance,
-        "jobs": config.jobs,
-    }
+def pipeline_config_to_dict(name: str, config: PipelineConfig, seed: int) -> dict:
+    """The pipeline id, the run seed and every PipelineConfig field. The net's
+    own seed is left out: each training derives its seed from the run seed."""
+    payload = {"pipeline": name, "seed": seed, **config_to_dict(config)}
+    del payload["net"]["seed"]
+    return payload
+
+
+def write_json(path: str | Path, payload) -> None:
+    """payload as JSON with sorted keys and two-space indents, like every JSON run artifact."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_run_artifacts(out: str | Path, report: MetricsReport | None = None, loss_trace=None) -> dict:
+    """Writes report.json, report.txt and folds.csv of a report, and
+    loss_trace.csv of per-epoch training losses, under out. Returns the path
+    of each written file by artifact key."""
+    out = Path(out)
+    paths = {}
+    if report is not None:
+        paths = {"report_json": out / "report.json", "report_txt": out / "report.txt",
+                 "folds_csv": out / "folds.csv"}
+        paths["report_json"].write_text(report_to_json(report), encoding="utf-8")
+        paths["report_txt"].write_text(report_table([report]) + "\n", encoding="utf-8")
+        write_fold_csv(report, paths["folds_csv"])
+    if loss_trace is not None:
+        paths["loss_trace"] = out / "loss_trace.csv"
+        with open(paths["loss_trace"], "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "mean_loss"])
+            writer.writerows([epoch, repr(float(loss))] for epoch, loss in enumerate(loss_trace))
+    return {key: str(path) for key, path in paths.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from .classify import LabeledFeatures
 from .errors import DataError, NumericalError
 from .pairing import PairBatch, batch_iter
 from .signals import Dataset, Label
-from .spectral import SpectralImage
+from .spectral import SpectralImage, StftConfig, config_from_dict, config_to_dict
 
 __all__ = [
     "NetConfig",
@@ -56,6 +56,7 @@ __all__ = [
 
 KERNEL_SIZES = tuple(range(3, 13))
 OUTPUT_DIMS = (2, 4, 6, 8, 10, 12, 14)
+POOLINGS = ("none", "max2x2")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -80,8 +81,7 @@ class NetConfig:
     learning_rate: float = 1e-4
     dropout_p: float = 0.5
     epochs: int = 20
-    pooling: str = "max2x2"  # "none" | "max2x2"
-    distance: str = "cosine"  # "euclidean" exists only for the metric comparison
+    pooling: str = field(default="max2x2", metadata={"choices": POOLINGS})
     seed: int = 0
 
     def __post_init__(self):
@@ -101,10 +101,8 @@ class NetConfig:
             raise DataError("dropout_p must lie in [0, 1)")
         if self.epochs < 1:
             raise DataError("epochs must be >= 1")
-        if self.pooling not in ("none", "max2x2"):
-            raise DataError(f"pooling must be 'none' or 'max2x2', got {self.pooling!r}")
-        if self.distance not in ("cosine", "euclidean"):
-            raise DataError(f"distance must be 'cosine' or 'euclidean', got {self.distance!r}")
+        if self.pooling not in POOLINGS:
+            raise DataError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
 
 
 @dataclass(frozen=True)
@@ -519,16 +517,12 @@ def contrastive_loss(y: int, d: float, m: float) -> float:
     return float(gap * gap)
 
 
-def _pair_distances(fa, fb, metric: str = "cosine"):
-    if metric == "euclidean":
-        d = np.linalg.norm(fa - fb, axis=1)
-        return d, None
+def _pair_distances(fa, fb):
     na = np.linalg.norm(fa, axis=1)
     nb = np.linalg.norm(fb, axis=1)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise DataError("cosine distance undefined for a zero vector")
-    cos = (fa * fb).sum(axis=1) / (na * nb)
-    return 1.0 - cos, (na, nb, cos)
+    return 1.0 - (fa * fb).sum(axis=1) / (na * nb)
 
 
 def _image_array(obj) -> np.ndarray:
@@ -587,24 +581,18 @@ def _loss_and_grads(model: SiameseModel, x, rows_a, rows_b, y, masks):
     fa, cache_a = _stage2_forward(model, p1[rows_a], masks_a)
     fb, cache_b = _stage2_forward(model, p1[rows_b], masks_b)
     del p1
-    d, _ = _pair_distances(fa, fb, cfg.distance)
+    d = _pair_distances(fa, fb)
     gap = np.maximum(0.0, cfg.margin - d)
     losses = y * d * d + (1.0 - y) * gap * gap
     loss = float(losses.mean()) + _l1_penalty(model)
 
     n = d.size
     dd = (2.0 * y * d - 2.0 * (1.0 - y) * gap) / n
-    if cfg.distance == "euclidean":
-        safe = np.where(d > 0.0, d, 1.0)
-        unit = np.where(d[:, None] > 0.0, (fa - fb) / safe[:, None], 0.0)
-        dfa = dd[:, None] * unit
-        dfb = -dfa
-    else:
-        na = np.linalg.norm(fa, axis=1)
-        nb = np.linalg.norm(fb, axis=1)
-        cos = 1.0 - d
-        dfa = dd[:, None] * (cos[:, None] * fa / (na * na)[:, None] - fb / (na * nb)[:, None])
-        dfb = dd[:, None] * (cos[:, None] * fb / (nb * nb)[:, None] - fa / (na * nb)[:, None])
+    na = np.linalg.norm(fa, axis=1)
+    nb = np.linalg.norm(fb, axis=1)
+    cos = 1.0 - d
+    dfa = dd[:, None] * (cos[:, None] * fa / (na * na)[:, None] - fb / (na * nb)[:, None])
+    dfb = dd[:, None] * (cos[:, None] * fb / (nb * nb)[:, None] - fa / (na * nb)[:, None])
     grads_a, dp1_a = _stage2_backward(model, dfa, cache_a)
     del cache_a
     dp1 = np.zeros((x.shape[0], *dp1_a.shape[1:]))
@@ -748,6 +736,9 @@ def extract_features(model: SiameseModel, dataset: Dataset, images) -> LabeledFe
         stack = np.stack(
             [_image_array(images[(rec.subject_id, ch)]) for ch in range(dataset.n_channels)]
         )
+        if stack.shape[1:] != tuple(model.input_shape):
+            raise DataError(f"images of subject '{rec.subject_id}' are {stack.shape[1:]}; the model takes "
+                            f"{tuple(model.input_shape)}")
         f = _forward_base(model, stack)
         if not np.isfinite(f).all():
             raise NumericalError(f"non-finite features for subject '{rec.subject_id}'")
@@ -777,7 +768,7 @@ def pair_accuracy(model: SiameseModel, pairs, images, tau: float = 0.5) -> float
         _forward_base(model, _stack_images(keys[lo : lo + chunk], images))
         for lo in range(0, len(keys), chunk)
     ])
-    d, _ = _pair_distances(features[rows_a], features[rows_b], model.config.distance)
+    d = _pair_distances(features[rows_a], features[rows_b])
     y = np.array([p.y for p in pairs])
     return int(((d < tau) == (y == 1)).sum()) / len(pairs)
 
@@ -786,28 +777,17 @@ def pair_accuracy(model: SiameseModel, pairs, images, tau: float = 0.5) -> float
 # checkpoints
 
 CHECKPOINT_FORMAT = "specsiam-siamese"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-def save_checkpoint(model: SiameseModel, path: str | Path) -> None:
-    """Versioned JSON checkpoint: config, parameters, and the dropout rng state."""
+def save_checkpoint(model: SiameseModel, stft: StftConfig, path: str | Path) -> None:
+    """Versioned JSON checkpoint: the network config, the spectral config its
+    images were made with, the parameters, and the dropout rng state."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "kernel_size": model.config.kernel_size,
-            "conv1_filters": model.config.conv1_filters,
-            "conv2_filters": model.config.conv2_filters,
-            "output_dim": model.config.output_dim,
-            "l1_lambda": model.config.l1_lambda,
-            "margin": model.config.margin,
-            "learning_rate": model.config.learning_rate,
-            "dropout_p": model.config.dropout_p,
-            "epochs": model.config.epochs,
-            "pooling": model.config.pooling,
-            "distance": model.config.distance,
-            "seed": model.config.seed,
-        },
+        "config": config_to_dict(model.config),
+        "stft": config_to_dict(stft),
         "input_shape": list(model.input_shape),
         "params": {name: arr.tolist() for name, arr in model.params().items()},
         "rng_state": model.rng.bit_generator.state,
@@ -815,23 +795,26 @@ def save_checkpoint(model: SiameseModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_checkpoint(path: str | Path) -> SiameseModel:
-    """Reads a checkpoint written by save_checkpoint.
+def load_checkpoint(path: str | Path) -> tuple[SiameseModel, StftConfig | None]:
+    """Reads a checkpoint written by save_checkpoint: (model, spectral config).
 
-    Any defect (an unknown or missing field, a missing or misshaped tensor, a
-    bad rng state) raises DataError naming the file and the field.
+    A version-1 checkpoint holds no spectral config, so None stands for it;
+    its config key 'distance' must be 'cosine', the only distance left. Any
+    defect (an unknown or missing field, a missing or misshaped tensor, a bad
+    rng state) raises DataError naming the file and the field.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"checkpoint not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a siamese checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {payload.get('version')}")
+    version = payload.get("version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+        raise DataError(f"unsupported checkpoint version {version}")
 
     def bad(what: str) -> DataError:
         return DataError(f"checkpoint {path}: {what}")
@@ -843,22 +826,19 @@ def load_checkpoint(path: str | Path) -> SiameseModel:
             raise bad(f"field '{name}' must be a JSON {'object' if kind is dict else 'array'}")
         return payload[name]
 
-    raw_config = section("config", dict)
-    config_keys = [f.name for f in fields(NetConfig)]
-    for key in raw_config:
-        if key not in config_keys:
-            raise bad(f"unknown config key '{key}'")
-    for key in config_keys:
-        if key not in raw_config:
-            raise bad(f"missing config key '{key}'")
+    raw_config = dict(section("config", dict))
+    if version == 1 and raw_config.pop("distance", "cosine") != "cosine":
+        raise bad("config key 'distance' must be 'cosine'")
+    raw_stft = section("stft", dict) if version > 1 else None
     raw_shape = section("input_shape", list)
     if len(raw_shape) != 2 or not all(type(n) is int and n > 0 for n in raw_shape):
         raise bad(f"field 'input_shape' must hold two positive integers, got {raw_shape}")
     try:
-        config = NetConfig(**raw_config)
+        config = config_from_dict(NetConfig, raw_config, "config")
+        stft = config_from_dict(StftConfig, raw_stft, "stft") if raw_stft is not None else None
         plan = _plan_shapes(config, tuple(raw_shape))
-    except (DataError, TypeError, ValueError) as exc:
-        raise bad(f"invalid config: {exc}") from exc
+    except DataError as exc:
+        raise bad(str(exc)) from exc
 
     raw_params = section("params", dict)
     shapes = _param_shapes(config, plan)
@@ -881,4 +861,4 @@ def load_checkpoint(path: str | Path) -> SiameseModel:
         rng.bit_generator.state = section("rng_state", dict)
     except (KeyError, TypeError, ValueError) as exc:
         raise bad(f"field 'rng_state' is not a {type(rng.bit_generator).__name__} state") from exc
-    return SiameseModel(config=config, input_shape=tuple(raw_shape), rng=rng, **params)
+    return SiameseModel(config=config, input_shape=tuple(raw_shape), rng=rng, **params), stft

@@ -175,7 +175,7 @@ def read_manifest(manifest_path: str | Path) -> list[dict]:
         raise DataError(f"manifest not found: {path}")
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise DataError(f"manifest {path} must be a non-empty JSON array")

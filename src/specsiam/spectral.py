@@ -7,7 +7,8 @@ magnitudes at or above it clamp to 1.0, everything below scales linearly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -19,6 +20,9 @@ from .signals import Dataset
 __all__ = [
     "WindowFn",
     "StftConfig",
+    "config_to_dict",
+    "config_from_dict",
+    "convert_value",
     "SpectralImage",
     "dstft",
     "normalize_magnitudes",
@@ -66,6 +70,51 @@ class StftConfig:
                 f"hop of {self.hop_s} s is shorter than one sample at {sample_rate_hz} Hz"
             )
         return h
+
+
+def config_to_dict(config) -> dict:
+    """Every field of a config dataclass by name: a nested config as a dict, an enum by its value."""
+
+    def plain(value):
+        if is_dataclass(value):
+            return config_to_dict(value)
+        return value.value if isinstance(value, Enum) else value
+
+    return {f.name: plain(getattr(config, f.name)) for f in fields(config)}
+
+
+def convert_value(default, value, source: str, key: str):
+    """value as the type of default: an enum member from its value, a finite
+    number for a float, and otherwise exactly the default's type, so 5.0 is
+    no int and true no number. DataError names source and key."""
+    kind = type(default)
+    try:
+        if isinstance(default, Enum):
+            return kind(value)
+        if kind is float:
+            if type(value) in (int, float) and math.isfinite(value):
+                return float(value)
+        elif type(value) is kind:
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DataError(f"{source}: key '{key}' must be of type {kind.__name__}, got {value!r}")
+
+
+def config_from_dict(cls, data, source: str):
+    """The cls config that config_to_dict wrote as data, each value converted
+    by its field's default type. An unknown, missing or unconvertible key
+    raises DataError naming source and key; cls validates the values."""
+    if not isinstance(data, dict):
+        raise DataError(f"{source}: must be a JSON object")
+    names = [f.name for f in fields(cls)]
+    for key in data:
+        if key not in names:
+            raise DataError(f"{source}: unknown key '{key}'")
+    for key in names:
+        if key not in data:
+            raise DataError(f"{source}: missing key '{key}'")
+    return cls(**{f.name: convert_value(f.default, data[f.name], source, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

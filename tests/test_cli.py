@@ -1,11 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from specsiam.cli import main
+from specsiam.cli import build_parser, main
 from specsiam.classify import LabeledFeatures
 from specsiam.siamese import NetConfig, init_model, save_checkpoint
+from specsiam.spectral import StftConfig
 
 
 @pytest.fixture()
@@ -90,7 +96,7 @@ class TestExitCodes:
     def test_extract_on_defective_checkpoint_is_data_error(self, synth_dir, tmp_path, capsys,
                                                             defect, field):
         ckpt = tmp_path / "checkpoint.json"
-        save_checkpoint(init_model(NetConfig(kernel_size=3), (40, 40)), ckpt)
+        save_checkpoint(init_model(NetConfig(kernel_size=3), (40, 40)), StftConfig(), ckpt)
         payload = json.loads(ckpt.read_text())
         defect(payload)
         ckpt.write_text(json.dumps(payload))
@@ -265,3 +271,196 @@ class TestOutputRoot:
                      "--duration-s", "2", "--rate", "64", "--seed", "0"])
         assert code == 0
         assert (root / "manifest.json").is_file()
+
+
+# ---------------------------------------------------------------------------
+# config schema: flags, --config files and checkpoint spectral configs
+
+def subcommand(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", ["train-snn", "tune-snn", "loocv", "run"])
+    def test_every_field_but_seed_has_exactly_one_flag(self, command):
+        actions = subcommand(command)._actions
+        for cls in (StftConfig, NetConfig):
+            for f in fields(cls):
+                if f.name == "seed":
+                    continue
+                matching = [a for a in actions if a.dest == f.name]
+                assert len(matching) == 1, f.name
+                assert matching[0].option_strings == ["--" + f.name.replace("_", "-")]
+        assert not [a for a in actions if "--distance" in a.option_strings]
+
+    def test_extract_and_stft_take_only_spectral_flags(self):
+        for command in ("extract", "stft"):
+            dests = {a.dest for a in subcommand(command)._actions}
+            assert {f.name for f in fields(StftConfig)} <= dests
+            assert not {f.name for f in fields(NetConfig)} & dests
+
+    @pytest.mark.parametrize("flag, value", [("--pooling", "avg"), ("--window-fn", "blackman"),
+                                             ("--distance", "cosine")])
+    def test_bad_choice_is_usage_error(self, synth_dir, tmp_path, flag, value):
+        assert main(["train-snn", "--manifest", manifest_of(synth_dir), flag, value,
+                     "--out", str(tmp_path)]) == 1
+
+
+def run_main(argv):
+    """(exit code, stderr) of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "content, field",
+        [
+            ({"kernal_size": 7}, "kernal_size"),
+            ({"kernel_size": "x"}, "kernel_size"),
+            ({"window_fn": "blackman"}, "window_fn"),
+            ({"distance": "cosine"}, "distance"),
+            ({"seed": 3}, "seed"),
+        ],
+        ids=["typo", "text-for-int", "unknown-window", "removed-distance", "seed-is-a-flag"],
+    )
+    def test_defect_is_data_error_naming_file_and_key(self, synth_dir, tmp_path, content, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        code, err = run_main(["train-snn", "--manifest", manifest_of(synth_dir), "--config", str(cfg),
+                              "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(cfg) in err and f"'{field}'" in err
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
+
+    def test_binary_input_files_are_data_errors(self, synth_dir, tmp_path):
+        blob = tmp_path / "blob.json"
+        blob.write_bytes(b"\xff\xfe{\x00")
+        for argv in (["train-snn", "--manifest", manifest_of(synth_dir), "--config", str(blob)],
+                     ["extract", "--manifest", manifest_of(synth_dir), "--checkpoint", str(blob)],
+                     ["stft", "--manifest", str(blob)]):
+            code, err = run_main(argv + ["--out", str(tmp_path / "out")])
+            assert code == 2 and f"{blob} is not valid JSON" in err, argv
+
+    def test_synth_rejects_unknown_and_unconvertible_keys(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for content, field in (({"case": 3}, "case"), ({"cases": "3"}, "cases")):
+            cfg.write_text(json.dumps(content))
+            code, err = run_main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert code == 2 and str(cfg) in err and f"'{field}'" in err
+
+    def test_numbers_are_converted_and_recorded(self, synth_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"upper_value": 150, "window_s": 2}))
+        out = tmp_path / "stft"
+        assert main(["stft", "--manifest", manifest_of(synth_dir), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved"]
+        assert resolved == {"window_s": 2.0, "hop_s": 1.0, "window_fn": "rectangular", "upper_value": 150.0}
+        assert type(resolved["upper_value"]) is float
+
+
+class TestCheckpointSpectralConfig:
+    NET = ["--kernel-size", "3", "--conv1-filters", "2", "--conv2-filters", "2", "--output-dim", "2",
+           "--epochs", "1", "--pooling", "none"]
+
+    @pytest.fixture()
+    def trained(self, synth_dir, tmp_path):
+        out = tmp_path / "train"
+        assert main(["train-snn", "--manifest", manifest_of(synth_dir), "--seed", "3",
+                     "--upper-value", "150", "--out", str(out)] + self.NET) == 0
+        return out / "checkpoint.json"
+
+    def extract(self, synth_dir, ckpt, out, *flags):
+        code, err = run_main(["extract", "--manifest", manifest_of(synth_dir), "--checkpoint", str(ckpt),
+                              "--out", str(out), *flags])
+        assert code == 0, err
+        return (out / "features.csv").read_bytes()
+
+    def test_plain_extract_uses_the_checkpoint_config(self, synth_dir, trained, tmp_path):
+        plain = self.extract(synth_dir, trained, tmp_path / "plain")
+        explicit = self.extract(synth_dir, trained, tmp_path / "explicit",
+                                "--window-s", "2", "--hop-s", "1", "--upper-value", "150")
+        assert plain == explicit
+        manifest = json.loads((tmp_path / "plain" / "run_manifest.json").read_text())
+        assert manifest["resolved"]["upper_value"] == 150.0
+
+        # version 1 held no spectral config: extract takes flags, else defaults
+        v1 = tmp_path / "v1.json"
+        payload = json.loads(trained.read_text())
+        payload.pop("stft")
+        payload.update(version=1)
+        payload["config"]["distance"] = "cosine"
+        v1.write_text(json.dumps(payload))
+        assert self.extract(synth_dir, v1, tmp_path / "v1_flags", "--upper-value", "150") == plain
+        assert self.extract(synth_dir, v1, tmp_path / "v1_plain") != plain
+
+    @pytest.mark.parametrize("flag, value, field",
+                             [("--window-s", "3", "window_s"), ("--upper-value", "300", "upper_value"),
+                              ("--window-fn", "hann", "window_fn"), ("--hop-s", "0.5", "hop_s")])
+    def test_conflicting_flag_is_data_error(self, synth_dir, trained, tmp_path, flag, value, field):
+        code, err = run_main(["extract", "--manifest", manifest_of(synth_dir), "--checkpoint",
+                              str(trained), flag, value, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "Traceback" not in err
+        assert str(trained) in err and field in err and flag in err
+
+
+# Hypothesis fuzzing of the --config and checkpoint ingest paths: any JSON
+# value at any key ends in exit 0 or 2, never in an exception. Integers stay
+# small so that an accepted size (filters, epochs) trains in milliseconds.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40)
+                | st.floats(-1e3, 1e3, allow_nan=False) | st.text(max_size=6)
+                | st.sampled_from(["hann", "rectangular", "none", "max2x2"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+FIELD_NAMES = [f.name for cls in (StftConfig, NetConfig) for f in fields(cls)]
+BASE_CONFIG = {"kernel_size": 3, "conv1_filters": 2, "conv2_filters": 2, "output_dim": 2,
+               "epochs": 1, "pooling": "none", "upper_value": 150.0}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--cases", "2", "--controls", "2", "--channels", "1", "--duration-s", "6",
+                 "--rate", "64", "--seed", "5", "--out", str(root / "cohort")]) == 0
+    assert main(["train-snn", "--manifest", str(root / "cohort" / "manifest.json"), "--seed", "1",
+                 "--out", str(root / "train")] + TestCheckpointSpectralConfig.NET) == 0
+    return root
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(FIELD_NAMES + ["distance", "kernal_size"]) | st.text(max_size=6),
+       value=JSON_VALUES)
+def test_fuzzed_config_file_exits_0_or_2(fuzz_dir, key, value):
+    cfg = fuzz_dir / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, key: value}))
+    code, err = run_main(["train-snn", "--manifest", str(fuzz_dir / "cohort" / "manifest.json"),
+                          "--config", str(cfg), "--out", str(fuzz_dir / "out")])
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if key == "seed" or key not in FIELD_NAMES:
+        assert code == 2 and f"config file {cfg}: unknown key '{key}'" in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(section=st.sampled_from(["config", "stft", None]),
+       key=st.sampled_from(FIELD_NAMES + ["input_shape", "version", "distance"]) | st.text(max_size=6),
+       value=JSON_VALUES)
+def test_fuzzed_checkpoint_exits_0_or_2(fuzz_dir, section, key, value):
+    payload = json.loads((fuzz_dir / "train" / "checkpoint.json").read_text())
+    (payload if section is None else payload[section])[key] = value
+    ckpt = fuzz_dir / "fuzzed_checkpoint.json"
+    ckpt.write_text(json.dumps(payload))
+    code, err = run_main(["extract", "--manifest", str(fuzz_dir / "cohort" / "manifest.json"),
+                          "--checkpoint", str(ckpt), "--out", str(fuzz_dir / "features")])
+    assert code in (0, 2), err
+    assert "Traceback" not in err

@@ -196,23 +196,17 @@ def oracle_loss_and_grads(model, xa, xb, y, masks):
     masks_a, masks_b = (masks["a"], masks["b"]) if masks is not None else (None, None)
     fa, cache_a = oracle_forward_base(model, xa, masks_a)
     fb, cache_b = oracle_forward_base(model, xb, masks_b)
-    d, _ = siamese._pair_distances(fa, fb, cfg.distance)
+    d = siamese._pair_distances(fa, fb)
     gap = np.maximum(0.0, cfg.margin - d)
     losses = y * d * d + (1.0 - y) * gap * gap
     loss = float(losses.mean()) + siamese._l1_penalty(model)
     n = d.size
     dd = (2.0 * y * d - 2.0 * (1.0 - y) * gap) / n
-    if cfg.distance == "euclidean":
-        safe = np.where(d > 0.0, d, 1.0)
-        unit = np.where(d[:, None] > 0.0, (fa - fb) / safe[:, None], 0.0)
-        dfa = dd[:, None] * unit
-        dfb = -dfa
-    else:
-        na = np.linalg.norm(fa, axis=1)
-        nb = np.linalg.norm(fb, axis=1)
-        cos = 1.0 - d
-        dfa = dd[:, None] * (cos[:, None] * fa / (na * na)[:, None] - fb / (na * nb)[:, None])
-        dfb = dd[:, None] * (cos[:, None] * fb / (nb * nb)[:, None] - fa / (na * nb)[:, None])
+    na = np.linalg.norm(fa, axis=1)
+    nb = np.linalg.norm(fb, axis=1)
+    cos = 1.0 - d
+    dfa = dd[:, None] * (cos[:, None] * fa / (na * na)[:, None] - fb / (na * nb)[:, None])
+    dfb = dd[:, None] * (cos[:, None] * fb / (nb * nb)[:, None] - fa / (na * nb)[:, None])
     grads_a = oracle_backward_base(model, dfa, cache_a)
     grads_b = oracle_backward_base(model, dfb, cache_b)
     grads = {k: grads_a[k] + grads_b[k] for k in grads_a}
@@ -242,15 +236,13 @@ class TestSharedStageMatchesTwoTwinOracle:
     """The step that runs stage 1 once per distinct image equals the step that
     ran the whole network per twin, on batches where images repeat."""
 
-    @pytest.mark.parametrize("distance", ["cosine", "euclidean"])
     @pytest.mark.parametrize("dropout", [True, False])
     @pytest.mark.parametrize("pooling", ["none", "max2x2"])
     @pytest.mark.parametrize("k", [3, 12])
-    def test_loss_and_every_gradient(self, k, pooling, dropout, distance):
+    def test_loss_and_every_gradient(self, k, pooling, dropout):
         shape = {(3, "none"): (9, 11), (3, "max2x2"): (13, 12), (12, "none"): (26, 25), (12, "max2x2"): (39, 38)}
         config = NetConfig(kernel_size=k, conv1_filters=2, conv2_filters=3, output_dim=4,
-                           l1_lambda=1e-3, margin=1.2, dropout_p=0.4, pooling=pooling,
-                           distance=distance, seed=k)
+                           l1_lambda=1e-3, margin=1.2, dropout_p=0.4, pooling=pooling, seed=k)
         model = init_model(config, shape[(k, pooling)])
         # k=3 runs both convolutions directly, k=12 both through the FFT
         assert siamese._is_direct(model.conv1_w) == siamese._is_direct(model.conv2_w) == (k == 3)
@@ -561,6 +553,15 @@ class TestFeaturesAndAccuracy:
         table = extract_features(model, dataset, images)
         np.testing.assert_array_equal(table.x[0], table.x[1])
 
+    def test_image_shape_other_than_model_input_is_data_error(self):
+        model = init_model(NetConfig(kernel_size=3, conv1_filters=1, conv2_filters=1,
+                                     output_dim=2, pooling="none", seed=5), (8, 8))
+        names = ("c0",)
+        recs = (EegRecording("x", Label.CASE, 8.0, names, np.zeros((1, 16))),)
+        images = {("x", 0): np.zeros((8, 9))}
+        with pytest.raises(DataError, match=r"subject 'x'.*\(8, 9\).*\(8, 8\)"):
+            extract_features(model, Dataset(recs, names), images)
+
     def test_trained_model_separates_classes(self):
         dataset, pairs, images = separable_training_fixture()
         model = init_model(NetConfig(kernel_size=3, conv1_filters=4, conv2_filters=4,
@@ -655,15 +656,32 @@ CHECKPOINT_DEFECTS = [
     (lambda p: p["rng_state"].pop("state"), "rng_state"),
     (lambda p: p.update(input_shape=[8]), "input_shape"),
     (lambda p: p.update(params=[]), "params"),
+    (lambda p: p.pop("stft"), "stft"),
+    (lambda p: p["stft"].update(window_fn="blackman"), "window_fn"),
+    (lambda p: p["stft"].update(hop_s="1"), "hop_s"),
+    (lambda p: p["stft"].pop("upper_value"), "upper_value"),
+    (lambda p: p["config"].update(distance="cosine"), "distance"),
 ]
+
+STFT = StftConfig(window_s=1.5, hop_s=0.5, upper_value=120.0)
+
+
+def as_version_1(payload, distance="cosine"):
+    """A version-2 checkpoint payload rewritten as version 1 wrote it."""
+    payload.pop("stft")
+    payload["version"] = 1
+    payload["config"]["distance"] = distance
+    return payload
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model, batch, images = tiny_setup(40)
         path = tmp_path / "model.json"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
+        save_checkpoint(model, STFT, path)
+        loaded, stft = load_checkpoint(path)
+        assert stft == STFT
+        assert json.loads(path.read_text())["version"] == 2
         assert loaded.config == model.config
         assert loaded.input_shape == model.input_shape
         for name in model.params():
@@ -682,13 +700,44 @@ class TestCheckpoint:
     def test_defects_name_file_and_field(self, tmp_path, defect, field):
         model, _, _ = tiny_setup(41)
         path = tmp_path / "model.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, STFT, path)
         payload = json.loads(path.read_text())
         defect(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=field) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    def test_version_1_loads_without_spectral_config(self, tmp_path):
+        model, _, _ = tiny_setup(42)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, STFT, path)
+        path.write_text(json.dumps(as_version_1(json.loads(path.read_text()))))
+        loaded, stft = load_checkpoint(path)
+        assert stft is None
+        assert loaded.config == model.config
+        for name in model.params():
+            np.testing.assert_array_equal(loaded.params()[name], model.params()[name])
+
+    def test_version_1_euclidean_is_rejected(self, tmp_path):
+        model, _, _ = tiny_setup(43)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, STFT, path)
+        path.write_text(json.dumps(as_version_1(json.loads(path.read_text()), "euclidean")))
+        with pytest.raises(DataError, match="distance") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unknown_version_is_rejected(self, tmp_path, version):
+        model, _, _ = tiny_setup(44)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, STFT, path)
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
 
 
 class TestConfigValidation:
@@ -712,48 +761,6 @@ class TestConfigValidation:
     def test_collapsed_shapes_rejected(self):
         with pytest.raises(DataError, match="collapses"):
             init_model(NetConfig(kernel_size=5, pooling="max2x2"), (10, 10))
-
-
-class TestEuclideanFlag:
-    def test_default_is_cosine(self):
-        assert NetConfig().distance == "cosine"
-
-    def test_bad_metric_rejected(self):
-        with pytest.raises(DataError):
-            NetConfig(distance="manhattan")
-
-    def euclidean_model(self, seed=50):
-        model, batch, images = tiny_setup(seed)
-        cfg = model.config
-        object.__setattr__(model, "config", NetConfig(
-            kernel_size=cfg.kernel_size,
-            conv1_filters=cfg.conv1_filters,
-            conv2_filters=cfg.conv2_filters,
-            output_dim=cfg.output_dim,
-            l1_lambda=cfg.l1_lambda,
-            margin=cfg.margin,
-            pooling=cfg.pooling,
-            distance="euclidean",
-            seed=cfg.seed,
-        ))
-        return model, batch, images
-
-    def test_single_pair_reduces_to_euclidean_contrastive(self):
-        model, batch, images = self.euclidean_model()
-        p = batch.pairs[0]
-        fa = base_forward(model, images[(p.subject_a, 0)])
-        fb = base_forward(model, images[(p.subject_b, 0)])
-        d = float(np.linalg.norm(fa - fb))
-        one = PairBatch((p,), 1)
-        expected = contrastive_loss(p.y, d, model.config.margin) + model.config.l1_lambda * (
-            np.abs(model.conv1_w).sum() + np.abs(model.conv2_w).sum() + np.abs(model.fc_w).sum()
-        )
-        assert batch_loss(model, one, images) == pytest.approx(expected, rel=1e-12)
-
-    def test_gradient_matches_finite_differences(self):
-        model, batch, images = self.euclidean_model(51)
-        masks = sample_dropout_masks(model, batch.n_pairs)
-        finite_difference_check(model, batch, images, masks)
 
 
 def test_pinned_eight_by_eight_single_filter_oracle():

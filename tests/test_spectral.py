@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsiam.errors import DataError
+from specsiam.siamese import NetConfig
 from specsiam.signals import BandComponent, generate_synthetic_cohort
 from specsiam.spectral import (
     SpectralImage,
     StftConfig,
     WindowFn,
     compute_images,
+    config_from_dict,
+    config_to_dict,
     dstft,
     export_image_csv,
     export_image_pgm,
@@ -244,3 +247,58 @@ class TestStftConfig:
         config = StftConfig(window_s=1.0, hop_s=0.001)
         with pytest.raises(DataError, match="hop"):
             config.hop_samples(10.0)
+
+
+NON_DEFAULT_CONFIGS = [
+    StftConfig(window_s=1.5, hop_s=0.25, window_fn=WindowFn.HANN, upper_value=123.5),
+    NetConfig(kernel_size=7, conv1_filters=3, conv2_filters=5, output_dim=4, l1_lambda=0.05,
+              margin=1.5, learning_rate=3e-4, dropout_p=0.25, epochs=3, pooling="none", seed=9),
+]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("config", NON_DEFAULT_CONFIGS, ids=lambda c: type(c).__name__)
+    def test_round_trip(self, config):
+        data = config_to_dict(config)
+        assert config_from_dict(type(config), data, "src") == config
+        assert all(type(v) in (int, float, str) for v in data.values())
+
+    def test_enum_written_by_value(self):
+        assert config_to_dict(StftConfig(window_fn=WindowFn.HANN))["window_fn"] == "hann"
+
+    def test_numbers_converted_by_default_type(self):
+        data = {**config_to_dict(StftConfig()), "upper_value": 150, "window_s": 2}
+        config = config_from_dict(StftConfig, data, "src")
+        assert type(config.upper_value) is float and config.upper_value == 150.0
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d.update(kernal_size=7), "unknown key 'kernal_size'"),
+            (lambda d: d.pop("margin"), "missing key 'margin'"),
+            (lambda d: d.update(kernel_size="x"), "key 'kernel_size' must be of type int"),
+            (lambda d: d.update(kernel_size=5.0), "key 'kernel_size' must be of type int"),
+            (lambda d: d.update(epochs=True), "key 'epochs' must be of type int"),
+            (lambda d: d.update(margin=None), "key 'margin' must be of type float"),
+            (lambda d: d.update(margin=float("nan")), "key 'margin' must be of type float"),
+            (lambda d: d.update(margin=10**400), "key 'margin' must be of type float"),
+            (lambda d: d.update(pooling=["none"]), "key 'pooling' must be of type str"),
+        ],
+        ids=["unknown", "missing", "text-for-int", "float-for-int", "bool-for-int", "null",
+             "nan", "huge-int", "list"],
+    )
+    def test_defects_name_source_and_key(self, change, message):
+        data = config_to_dict(NetConfig())
+        change(data)
+        with pytest.raises(DataError, match="^src: " + message):
+            config_from_dict(NetConfig, data, "src")
+
+    @pytest.mark.parametrize("value", ["blackman", 1, None, ["hann"]])
+    def test_enum_value_not_a_member(self, value):
+        data = {**config_to_dict(StftConfig()), "window_fn": value}
+        with pytest.raises(DataError, match="^src: key 'window_fn'"):
+            config_from_dict(StftConfig, data, "src")
+
+    def test_not_an_object(self):
+        with pytest.raises(DataError, match="^src: must be a JSON object"):
+            config_from_dict(StftConfig, ["window_s"], "src")
