@@ -8,7 +8,10 @@ images) and the paper net (129x59 images, filters 8/16, k = 3, 5, 12, 96
 images), plus 2x2 max pooling forward and backward on the conv outputs. Each
 figure is the best of --repeats calls, in milliseconds, on one thread pinned
 to one CPU. The `path` column is the algorithm the network uses for the
-layer (fan-in C_in*k*k against DIRECT_CONV_MAX_FAN_IN).
+layer (fan-in C_in*k*k against DIRECT_CONV_MAX_FAN_IN). These are the layer
+oracles; the network runs them fused, which the block table times: the
+fused conv -> bias -> ReLU -> 2x2 pool forward (`_conv_block`) and its
+backward (`_conv_block_backward`, with dX for conv2 only) at the same shapes.
 
 A second table times the stages behind the FFT baseline rows, best of
 --repeats calls in milliseconds: one default gradient-boosting fit (50 trees
@@ -20,7 +23,8 @@ A third table times one training step (loss and every gradient, dropout on)
 of the default net at the paper batch shape, for k = 3, 5 and 12: 16
 subject pairs over 27 distinct subjects, 16 channels, so 256 pairs of 129x59
 images, 512 twin rows over 432 distinct images. It is the best of
-min(--repeats, 3) steps and needs about 1 GB.
+min(--repeats, 3) steps; `peak MB` is the largest traced allocation
+(tracemalloc) during one more step. The fused blocks keep that near 0.2 GB.
 
     python3 scripts/bench_layers.py --repeats 7
 """
@@ -29,6 +33,7 @@ import argparse
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -89,6 +94,20 @@ def pool_rows(name, x, repeats):
     print(f"| {name} | {shape} | pool | fwd {fwd:.1f} | bwd {bwd:.1f} |", flush=True)
 
 
+def block_rows(name, b, c_in, c_out, hw, k, repeats, rng):
+    x = np.maximum(rng.standard_normal((b, c_in, *hw)), 0.0)
+    w = rng.standard_normal((c_out, c_in, k, k)) / k
+    bias = np.zeros(c_out)
+    p, cache = S._conv_block(x, w, bias, True)
+    dp = rng.standard_normal(p.shape)
+    need_dx = c_in > 1  # the network never needs dX of conv1
+    fwd = best_ms(S._conv_block, x, w, bias, True, repeats=repeats)
+    bwd = best_ms(S._conv_block_backward, dp, cache, w, need_dx, repeats=repeats)
+    path = "direct" if S._is_direct(w) else "fft"
+    print(f"| {name} | {b}x{c_in}x{hw[0]}x{hw[1]} -> {c_out} | {k} | {path} | {fwd:.1f} | {bwd:.1f} |",
+          flush=True)
+
+
 def stage_rows(repeats, rng):
     print("| stage | input | ms |")
     print("|---|---|---|")
@@ -127,13 +146,19 @@ def paper_batch(rng, n_channels=16, shape=(129, 59)):
 def step_rows(repeats, rng):
     batch, images = paper_batch(rng)
     shape = next(iter(images.values())).shape
-    print("| k | pairs | distinct images | step ms |")
-    print("|---|---|---|---|")
+    print("| k | pairs | distinct images | step ms | peak MB |")
+    print("|---|---|---|---|---|")
     for k in (3, 5, 12):
         model = S.init_model(S.NetConfig(kernel_size=k, seed=0), shape)
         masks = S.sample_dropout_masks(model, batch.n_pairs)
         ms = best_ms(S.gradient, model, batch, images, masks, repeats=min(repeats, 3))
-        print(f"| {k} | {batch.n_pairs} | {len(images)} | {ms:.0f} |", flush=True)
+        tracemalloc.start()
+        try:
+            S.gradient(model, batch, images, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"| {k} | {batch.n_pairs} | {len(images)} | {ms:.0f} | {peak / 1e6:.0f} |", flush=True)
 
 
 def main():
@@ -154,6 +179,14 @@ def main():
                 pools.append((f"{name} pool1", np.maximum(rng.standard_normal((b, c1, h1, w1)), 0.0)))
     for name, x in pools:
         pool_rows(name, x, args.repeats)
+    print()
+    print("| net | input -> filters | k | path | block fwd ms | block bwd ms |")
+    print("|---|---|---|---|---|---|")
+    for name, b, (h, w), c1, c2, kernel_sizes in NETS:
+        for k in kernel_sizes:
+            h1, w1 = h - k + 1, w - k + 1
+            block_rows(f"{name} block1", b, 1, c1, (h, w), k, args.repeats, rng)
+            block_rows(f"{name} block2", b, c1, c2, (h1 // 2, w1 // 2), k, args.repeats, rng)
     print()
     stage_rows(args.repeats, rng)
     print()

@@ -113,27 +113,33 @@ class LabeledFeatures:
         path = Path(path)
         if not path.is_file():
             raise DataError(f"feature table not found: {path}")
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "subject_id" or header[-1] != "label":
-                raise DataError(f"{path} is not a feature table CSV")
-            sids, chans, rows, labels = [], [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}: ragged row at line {lineno}")
-                sids.append(row[0])
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                lines = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"feature table {path} is not UTF-8 text ({exc})") from None
+        header = lines[0] if lines else None
+        if not header or header[0] != "subject_id" or header[-1] != "label":
+            raise DataError(f"{path} is not a feature table CSV")
+        sids, chans, rows, labels = [], [], [], []
+        for lineno, row in enumerate(lines[1:], start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: ragged row at line {lineno}")
+            sids.append(row[0])
+            try:
                 chans.append(int(row[1]))
-                try:
-                    rows.append([float(v) for v in row[2:-1]])
-                except ValueError as exc:
-                    raise DataError(f"{path}: non-numeric feature at line {lineno}") from exc
-                try:
-                    labels.append(1 if Label(row[-1]) is Label.CASE else 0)
-                except ValueError:
-                    raise DataError(f"{path}: bad label {row[-1]!r} at line {lineno}") from None
+            except ValueError:
+                raise DataError(f"{path}: non-integer channel {row[1]!r} at line {lineno}") from None
+            try:
+                rows.append([float(v) for v in row[2:-1]])
+            except ValueError as exc:
+                raise DataError(f"{path}: non-numeric feature at line {lineno}") from exc
+            try:
+                labels.append(1 if Label(row[-1]) is Label.CASE else 0)
+            except ValueError:
+                raise DataError(f"{path}: bad label {row[-1]!r} at line {lineno}") from None
         return LabeledFeatures(tuple(sids), tuple(chans), np.asarray(rows), np.asarray(labels))
 
 

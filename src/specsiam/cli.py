@@ -55,11 +55,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """defaults <- config file <- explicitly passed flags. A file value is
+def _resolve(args, defaults: dict) -> tuple[dict, dict]:
+    """defaults <- config file <- explicitly passed flags, and for each key
+    not left at its default, where its value came from. A file value is
     converted by the type of its default; a file key without a default is
     not read by the command, so it is an error."""
     resolved = dict(defaults)
+    sources = {}
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
@@ -74,11 +76,13 @@ def _resolve(args, defaults: dict) -> dict:
             if key not in defaults:
                 raise DataError(f"config file {path}: unknown key '{key}'")
             resolved[key] = convert_value(defaults[key], value, f"config file {path}", key)
+            sources[key] = f"config file {path}: key '{key}'"
     for key in defaults:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             resolved[key] = cli_value
-    return resolved
+            sources[key] = "flag --" + key.replace("_", "-")
+    return resolved, sources
 
 
 def _write_run_manifest(out: Path, command: str, resolved: dict) -> None:
@@ -89,11 +93,33 @@ def _resolve_configs(args, *classes) -> tuple[dict, list]:
     """The resolved fields of the config classes, all but seed, which comes
     from --seed, and one config of each class."""
     defaults = {k: v for cls in classes for k, v in config_to_dict(cls()).items() if k != "seed"}
-    resolved = _resolve(args, defaults)
+    resolved, sources = _resolve(args, defaults)
     values = {**resolved, "seed": getattr(args, "seed", None)}
-    source = f"config file {args.config}" if getattr(args, "config", None) else "flags"
-    return resolved, [config_from_dict(cls, {f.name: values[f.name] for f in fields(cls)}, source)
-                      for cls in classes]
+    return resolved, [_build_config(cls, values, sources) for cls in classes]
+
+
+def _build_config(cls, values: dict, sources: dict):
+    """The cls config of values. When the class rejects them, the message
+    names the source of each set value that it rejects with every other field
+    at its default, or, for a combination, of every set value of cls."""
+    data = {f.name: values[f.name] for f in fields(cls)}
+    try:
+        return config_from_dict(cls, data, "resolved config")
+    except DataError as exc:
+        defaults = config_to_dict(cls())
+        set_keys = [key for key in data if key in sources]
+
+        def rejected(key):
+            try:
+                config_from_dict(cls, {**defaults, key: data[key]}, "")
+            except DataError:
+                return True
+            return False
+
+        blamed = [key for key in set_keys if rejected(key)] or set_keys
+        if not blamed:
+            raise
+        raise DataError(f"{', '.join(sources[key] for key in blamed)}: {exc}") from None
 
 
 def _add_config_flags(parser, *classes) -> None:
@@ -260,7 +286,7 @@ def build_parser() -> _Parser:
 
 def _cmd_synth(args) -> int:
     out = _out_dir(args)
-    resolved = _resolve(
+    resolved, _ = _resolve(
         args,
         {
             "cases": 4,
@@ -313,8 +339,11 @@ def _cmd_pairs(args) -> int:
         first_csv = Path(args.manifest).parent / first_csv
     if not first_csv.is_file():
         raise DataError(f"signal file missing for subject '{entries[0]['subject_id']}': {first_csv}")
-    with open(first_csv, encoding="utf-8") as fh:
-        header = fh.readline().strip()
+    try:
+        with open(first_csv, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"signal file {first_csv} is not UTF-8 text ({exc})") from None
     n_channels = len(header.split(",")) if header else 0
     if n_channels < 1:
         raise DataError(f"no channel header in {first_csv}")
@@ -347,9 +376,9 @@ def _cmd_tune_snn(args) -> int:
     )
     _log(f"tune-snn: budget {args.init}+{args.budget}, k={args.k}")
     stft, net, state = evaluate.tune_snn(
-        dataset, config, n_init=args.init, n_acquisitions=args.budget, seed=args.seed
+        dataset, config, n_init=args.init, n_acquisitions=args.budget, seed=args.seed,
+        trace_path=out / "snn_bo_trace.csv",
     )
-    write_trace_csv(state, out / "snn_bo_trace.csv")
     best = {"best_objective": state.best_value, "stft": config_to_dict(stft), "net": config_to_dict(net)}
     del best["net"]["seed"]
     write_json(out / "best_config.json", best)

@@ -36,13 +36,14 @@ from .siamese import (
     OUTPUT_DIMS,
     NetConfig,
     extract_features,
+    fitting_kernel_sizes,
     init_model,
     save_checkpoint,
     train,
     pair_accuracy,
 )
 from .signals import Dataset, Label, dataset_subset
-from .spectral import StftConfig, compute_images, config_to_dict, fft_features
+from .spectral import StftConfig, compute_images, config_to_dict, dstft, fft_features
 
 __all__ = [
     "PIPELINES",
@@ -353,11 +354,25 @@ def kfold_snn_objective(
 # ---------------------------------------------------------------------------
 # tuning
 
-def snn_search_space() -> SearchSpace:
-    """Joint domain of the network hyperparameters and the magnitude upper value."""
+def snn_search_space(net: NetConfig | None = None, image_shape: tuple[int, int] | None = None) -> SearchSpace:
+    """Joint domain of the network hyperparameters and the magnitude upper value.
+
+    Given the shape of the images, kernel_size takes only the sizes whose
+    shape plan with net's pooling fits it, so no evaluation is spent on a
+    network that cannot be built; DataError if none fits.
+    """
+    kernel_sizes = KERNEL_SIZES
+    if image_shape is not None:
+        net = net or NetConfig()
+        kernel_sizes = fitting_kernel_sizes(net, image_shape)
+        if not kernel_sizes:
+            raise DataError(
+                f"no kernel size in {KERNEL_SIZES} fits {image_shape[0]}x{image_shape[1]} "
+                f"images with pooling={net.pooling!r}"
+            )
     return SearchSpace(
         (
-            Discrete("kernel_size", KERNEL_SIZES),
+            Discrete("kernel_size", kernel_sizes),
             Discrete("output_dim", OUTPUT_DIMS),
             LogContinuous("l1_lambda", 1e-3, 1e-1),
             Continuous("margin", 1.0, 2.0),
@@ -382,16 +397,23 @@ def tune_snn(
     n_init: int = 5,
     n_acquisitions: int = 50,
     seed: int = 0,
+    trace_path: str | Path | None = None,
 ) -> tuple[StftConfig, NetConfig, BoState]:
     """Bayesian-optimize the network hyperparameters and the upper value.
 
     The objective runs k-fold validation on the partition that holds out the
-    lexicographically first subject, mirroring a single outer fold.
+    lexicographically first subject, mirroring a single outer fold. The
+    kernel sizes searched are those that fit the cohort's image shape. The
+    trace is written to trace_path when given; DataError if every
+    evaluation failed.
     """
     subjects = sorted(dataset.subject_ids)
     tune_ds = dataset_subset(dataset, subjects[1:])
     epochs = config.tuning_epochs or config.net.epochs
     base_net = replace(config.net, epochs=epochs)
+    first = dataset.recordings[0]
+    shape = dstft(first.samples[0], first.sample_rate_hz, config.stft).magnitudes.shape
+    space = snn_search_space(config.net, shape)
 
     def objective(raw: dict) -> float:
         stft, net = _apply_snn_config(config.stft, base_net, raw)
@@ -399,9 +421,15 @@ def tune_snn(
             tune_ds, stft, net, tau=config.tau, k=config.tuning_k, seed=_derive_seed(seed, 17)
         )
 
-    best, state = optimize(
-        objective, snn_search_space(), n_init=n_init, n_acquisitions=n_acquisitions, seed=seed
-    )
+    best, state = optimize(objective, space, n_init=n_init, n_acquisitions=n_acquisitions, seed=seed)
+    if trace_path is not None:
+        write_trace_csv(state, trace_path)
+    if len(state.failures) == len(state.values):  # the best of all-zero scores is no choice
+        where = f"; see the trace {trace_path}" if trace_path is not None else ""
+        raise DataError(
+            f"network tuning: all {len(state.values)} evaluations failed, the first with "
+            f"'{state.failures[0]['error']}'{where}"
+        )
     stft, net = _apply_snn_config(config.stft, config.net, best)
     return stft, net, state
 
@@ -517,13 +545,13 @@ def run_pipeline(
         out.mkdir(parents=True, exist_ok=True)
 
     if route == "snn" and config.snn_budget is not None:
-        stft, net, bo_state = tune_snn(
-            dataset, config, n_init=config.snn_budget[0], n_acquisitions=config.snn_budget[1], seed=seed
+        trace_path = out / "snn_bo_trace.csv" if out is not None else None
+        stft, net, _ = tune_snn(
+            dataset, config, n_init=config.snn_budget[0], n_acquisitions=config.snn_budget[1], seed=seed,
+            trace_path=trace_path,
         )
         config = replace(config, stft=stft, net=net)
-        if out is not None:
-            trace_path = out / "snn_bo_trace.csv"
-            write_trace_csv(bo_state, trace_path)
+        if trace_path is not None:
             artifacts["snn_bo_trace"] = str(trace_path)
 
     report, extras = _loocv_impl(dataset, name, config, seed)

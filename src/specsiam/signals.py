@@ -9,6 +9,7 @@ only, so the same signal files can be relabeled without rewriting them.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -202,36 +203,73 @@ def read_manifest(manifest_path: str | Path) -> list[dict]:
 def _read_signal_csv(path: Path, subject_id: str) -> tuple[tuple[str, ...], np.ndarray]:
     if not path.is_file():
         raise DataError(f"signal file missing for subject '{subject_id}': {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"subject '{subject_id}': empty signal file {path}")
-        names = tuple(cell.strip() for cell in header)
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate trailing blank line
-            if len(row) != len(names):
-                raise DataError(
-                    f"subject '{subject_id}': ragged row at line {lineno} of {path.name} "
-                    f"({len(row)} values, expected {len(names)})"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                for j, cell in enumerate(row):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"subject '{subject_id}': non-numeric cell {cell!r} at line "
-                            f"{lineno}, channel '{names[j]}'"
-                        ) from None
-                raise
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"subject '{subject_id}': signal file {path} is not UTF-8 text ({exc})") from None
+    if header is None:
+        raise DataError(f"subject '{subject_id}': empty signal file {path}")
+    names = tuple(cell.strip() for cell in header)
+    samples = _parse_bulk(body, len(names))
+    if samples is None:
+        samples = _parse_rows(body, names, subject_id, path)
+    return names, samples.T
+
+
+# Bytes that repr writes for finite floats, plus the separators. A body made
+# of nothing else has no quoting, whitespace or exotic line break, so np.loadtxt
+# and the csv row loop split it into the same cells, and both parse each cell
+# with the same correctly rounded conversion.
+_BULK_BYTES = b"0123456789.eE+-,\r\n"
+
+
+def _parse_bulk(body: str, n_columns: int) -> np.ndarray | None:
+    """The (rows, columns) body parsed by one np.loadtxt call, or None when
+    the row loop must decide: other characters, no rows, a bad cell or a row
+    of another length."""
+    try:
+        if body.encode("ascii").translate(None, _BULK_BYTES):
+            return None
+    except UnicodeEncodeError:
+        return None
+    lines = [line for line in body.splitlines() if line]
+    if not lines:
+        return None
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == n_columns else None
+
+
+def _parse_rows(body: str, names: tuple[str, ...], subject_id: str, path: Path) -> np.ndarray:
+    """The body parsed row by row with csv, naming the first defect."""
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row:
+            continue  # tolerate trailing blank line
+        if len(row) != len(names):
+            raise DataError(
+                f"subject '{subject_id}': ragged row at line {lineno} of {path.name} "
+                f"({len(row)} values, expected {len(names)})"
+            )
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError:
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"subject '{subject_id}': non-numeric cell {cell!r} at line "
+                        f"{lineno}, channel '{names[j]}'"
+                    ) from None
+            raise
     if not rows:
         raise DataError(f"subject '{subject_id}': no sample rows in {path.name}")
-    return names, np.asarray(rows, dtype=np.float64).T
+    return np.asarray(rows, dtype=np.float64)
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
@@ -277,7 +315,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
 def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "manifest.json") -> Path:
     """Write one CSV per subject plus the manifest; returns the manifest path.
 
-    Floats are written with repr so that load_dataset round-trips bit-exactly.
+    Floats are written with repr so that load_dataset round-trips bit-exactly;
+    the sample rows are joined in one string, with the csv module's \\r\\n
+    terminator (repr never writes a character that csv would quote).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,11 +325,8 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "ma
     for rec in dataset.recordings:
         fname = f"{rec.subject_id}.csv"
         with open(out / fname, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rec.channel_names)
-            cols = rec.samples.T
-            for row in cols:
-                writer.writerow([repr(float(v)) for v in row])
+            csv.writer(fh).writerow(rec.channel_names)
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rec.samples.T.tolist()))
         entries.append(
             {
                 "subject_id": rec.subject_id,

@@ -347,6 +347,53 @@ class TestConfigFile:
             code, err = run_main(argv + ["--out", str(tmp_path / "out")])
             assert code == 2 and f"{blob} is not valid JSON" in err, argv
 
+    @pytest.mark.parametrize(
+        "content, field",
+        [({"kernel_size": 2}, "kernel_size"), ({"dropout_p": 1.0}, "dropout_p"),
+         ({"hop_s": 5.0}, "hop_s"), ({"upper_value": -1.0}, "upper_value")],
+        ids=["kernel-size", "dropout", "hop-above-window", "upper-value"],
+    )
+    def test_out_of_range_value_names_file_and_key(self, synth_dir, tmp_path, content, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        code, err = run_main(["train-snn", "--manifest", manifest_of(synth_dir), "--config", str(cfg),
+                              "--out", str(tmp_path / "out")])
+        assert code == 2 and "Traceback" not in err
+        assert f"config file {cfg}: key '{field}'" in err
+
+    @pytest.mark.parametrize("flag, value", [("--kernel-size", "2"), ("--epochs", "0"), ("--hop-s", "3")])
+    def test_out_of_range_flag_is_named(self, synth_dir, tmp_path, flag, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output_dim": 4}))
+        code, err = run_main(["train-snn", "--manifest", manifest_of(synth_dir), "--config", str(cfg),
+                              flag, value, "--out", str(tmp_path / "out")])
+        assert code == 2 and "Traceback" not in err
+        assert f"flag {flag}:" in err and str(cfg) not in err
+
+    def test_non_utf8_tables_are_data_errors(self, synth_dir, tmp_path):
+        feats = tmp_path / "feats"
+        assert main(["extract", "--manifest", manifest_of(synth_dir), "--fft", "--max-freq-hz", "5",
+                     "--out", str(feats)]) == 0
+        table = feats / "features.csv"
+        lines = table.read_bytes().split(b"\r\n")
+        bad_channel = tmp_path / "bad_channel.csv"
+        bad_channel.write_bytes(b"\r\n".join([lines[0], lines[1].replace(b",0,", b",zero,", 1), *lines[2:]]))
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(table.read_bytes() + b"\xff\xfe\r\n")
+        for path, message in ((binary, f"feature table {binary} is not UTF-8"),
+                              (bad_channel, f"{bad_channel}: non-integer channel 'zero' at line 2")):
+            for argv in (["tune-clf", "--features", str(path), "--model", "knn", "--init", "1", "--budget", "0"],
+                         ["classify", "--features", str(path), "--model", "knn"]):
+                code, err = run_main(argv + ["--out", str(tmp_path / "out")])
+                assert code == 2 and message in err and "Traceback" not in err, argv
+
+        signal = synth_dir / "case00.csv"
+        signal.write_bytes(b"\xff\xfe" + signal.read_bytes())
+        for argv in (["stft", "--manifest", manifest_of(synth_dir)],
+                     ["pairs", "stats", "--manifest", manifest_of(synth_dir)]):
+            code, err = run_main(argv + ["--out", str(tmp_path / "out")])
+            assert code == 2 and f"{signal} is not UTF-8" in err and "Traceback" not in err, argv
+
     def test_synth_rejects_unknown_and_unconvertible_keys(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         for content, field in (({"case": 3}, "case"), ({"cases": "3"}, "cases")):

@@ -1,10 +1,13 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from specsiam import evaluate
 from specsiam.classify import ClassifierKind, ClassifierSpec, LabeledFeatures
-from specsiam.errors import DataError
+from specsiam.errors import DataError, NumericalError
 from specsiam.evaluate import (
     FoldResult,
     PIPELINES,
@@ -28,7 +31,7 @@ from specsiam.evaluate import (
 from specsiam.pairing import PairExample
 from specsiam.siamese import NetConfig
 from specsiam.signals import BandComponent, Label, generate_synthetic_cohort
-from specsiam.spectral import StftConfig
+from specsiam.spectral import StftConfig, compute_images
 
 
 def micro_cohort(n_case=3, n_control=3, duration_s=10.0, seed=21, m_channels=1):
@@ -302,6 +305,44 @@ class TestTuning:
         assert 1e-6 <= net.learning_rate <= 1e-3
         assert len(state.values) == 3
         assert net.epochs == config.net.epochs  # tuning epochs do not leak into the final config
+
+    def test_search_space_keeps_kernel_sizes_that_fit_the_10s_cohort(self):
+        # a 10-s cohort at 64 Hz with 2-s windows and 1-s hops gives 65x9 images
+        images = compute_images(micro_cohort(1, 1), micro_config().stft)
+        shape = next(iter(images.values())).magnitudes.shape
+        assert shape == (65, 9)
+        space = snn_search_space(micro_config().net, shape)
+        assert space.dims[0].values == (3, 4, 5)
+        with pytest.raises(DataError, match=r"no kernel size .* fits 65x9 images with pooling='max2x2'"):
+            snn_search_space(NetConfig(), shape)
+        assert snn_search_space().dims[0].values == tuple(range(3, 13))
+
+    def test_tune_snn_draws_only_fitting_kernel_sizes(self, tmp_path):
+        ds = micro_cohort(3, 3)
+        config = micro_config(tuning_k=2, tuning_epochs=1)
+        trace = tmp_path / "trace.csv"
+        _, net, state = tune_snn(ds, config, n_init=3, n_acquisitions=1, seed=0, trace_path=trace)
+        assert {cfg["kernel_size"] for cfg in state.raw_configs} <= {3, 4, 5}
+        assert not state.failures and net.kernel_size in (3, 4, 5)
+        assert len(trace.read_text().splitlines()) == 5
+        with pytest.raises(DataError, match="fits 65x9"):
+            tune_snn(ds, micro_config(net=NetConfig()), n_init=2, n_acquisitions=1, seed=0)
+
+    def test_tune_snn_where_every_evaluation_fails_names_the_trace(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("diverged")
+
+        monkeypatch.setattr(evaluate, "kfold_snn_objective", failing)
+        trace = tmp_path / "snn_bo_trace.csv"
+        config = micro_config(tuning_k=2, tuning_epochs=1)
+        with pytest.raises(DataError, match=f"all 3 evaluations failed.*'diverged'.*{re.escape(str(trace))}"):
+            tune_snn(micro_cohort(3, 3), config, n_init=2, n_acquisitions=1, seed=0, trace_path=trace)
+        rows = trace.read_text().splitlines()[1:]
+        assert len(rows) == 3 and all(row.endswith(",diverged") for row in rows)
+        with pytest.raises(DataError, match="all 3 evaluations failed"):
+            run_pipeline("DSTFT-SNN-kNN", micro_cohort(3, 3), replace(config, snn_budget=(2, 1)),
+                         seed=0, out_dir=tmp_path / "run")
+        assert (tmp_path / "run" / "snn_bo_trace.csv").is_file()
 
     def test_snn_search_space_domains(self):
         space = snn_search_space()

@@ -1,8 +1,11 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from specsiam import signals
 from specsiam.errors import DataError
 from specsiam.signals import (
     BandComponent,
@@ -227,3 +230,82 @@ class TestLoadErrors:
         ]
         with pytest.raises(DataError, match="length"):
             load_dataset(self.write_manifest(tmp_path, entries))
+
+
+    def test_non_utf8_signal_file_named(self, tmp_path):
+        (tmp_path / "s.csv").write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+        entries = [{"subject_id": "s0", "label": "case", "path": "s.csv", "sample_rate_hz": 4}]
+        with pytest.raises(DataError, match=r"s\.csv is not UTF-8"):
+            load_dataset(self.write_manifest(tmp_path, entries))
+
+
+# Cells that repr writes, and cells that only the csv row loop accepts or
+# that both reject, so that generated files exercise every way out of the
+# bulk parser.
+REPR_CELLS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+CELLS = st.one_of(
+    REPR_CELLS,
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([
+        "1_0", '"1.5"', '"2,5"', " 2.5", "3.5 ", "", " ", "nan", "inf", "-inf", "1e", "e5", "+.5",
+        "1E+05", ".", "-", "1.2.3", "0x10", "\u0661", "abc", "1e400", "--1",
+        "1\x0c2", "1\x0b2", "1\x852", "1\u20282",  # line breaks to str.splitlines, not to csv
+    ]),
+    st.text(alphabet="0123456789.eE+-, \t\"_\r\n", max_size=6),
+)
+LINE_ENDS = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def signal_files(draw):
+    """A header of 1-3 names, then rows of repr floats only, or of any CELLS
+    with the header's width or a random one, with blank or whitespace lines,
+    mixed line ends and an optional final line end."""
+    n_names = draw(st.integers(1, 3))
+    well_formed = draw(st.booleans())
+    cells = REPR_CELLS if well_formed else CELLS
+    lines = [",".join(f"ch{j}" for j in range(n_names))]
+    for _ in range(draw(st.integers(0, 6))):
+        if not well_formed and draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        width = n_names if well_formed or draw(st.booleans()) else draw(st.integers(1, 4))
+        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+    ends = [draw(LINE_ENDS) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def read_outcome(path):
+    """The array read from path, bit for bit, or the DataError message."""
+    try:
+        names, samples = signals._read_signal_csv(path, "s0")
+    except DataError as exc:
+        return "error", str(exc)
+    return names, samples.shape, samples.tobytes()
+
+
+class TestBulkReaderMatchesRowLoop:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=signal_files())
+    @example(text="ch0\r\n1\x0c2\r\n")
+    @example(text="ch0\n1\x852\n3")
+    @example(text='ch0\r\n"1.5"\r\n1_0\r\n')
+    @example(text="ch0,ch1\r\n1,2\r\n \r\n3,4\r\n")
+    @example(text="ch0,ch1\r1,2\r\r3,4")
+    def test_same_array_or_same_error(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode("utf-8"))
+        bulk = read_outcome(path)
+        with mock.patch.object(signals, "_parse_bulk", lambda body, n_columns: None):
+            rows = read_outcome(path)
+        assert bulk == rows
+
+    def test_saved_files_take_the_bulk_path(self, tmp_path):
+        ds = generate_synthetic_cohort(1, 1, 3, 2.0, 64.0, seed=4)
+        save_dataset(ds, tmp_path)
+        body = (tmp_path / "case00.csv").read_bytes().decode("utf-8").split("\r\n", 1)[1]
+        bulk = signals._parse_bulk(body, 3)
+        assert bulk is not None
+        assert np.array_equal(bulk, ds.recordings[0].samples.T)
