@@ -16,8 +16,10 @@ backward (`_conv_block_backward`, with dX for conv2 only) at the same shapes.
 A second table times the stages behind the FFT baseline rows, best of
 --repeats calls in milliseconds: one default gradient-boosting fit (50 trees
 of depth 3) on a 10x301 table (the FFT features of a 10-s, 64-Hz channel) and
-on a 128x8 table (twin-network features), one `gp_fit` and one `propose_next`
-with the SVM search space (d = 3) after n = 9 evaluations.
+on a 128x8 table (twin-network features), and one `gp_fit` and one
+`propose_next` after n evaluations: n = 9 and 15 on the SVM search space
+(d = 3; 15 is the default classifier budget of 5 + 10) and n = 55 on the
+network search space (d = 6; the default network budget of 5 + 50).
 
 A third table times one training step (loss and every gradient, dropout on)
 of the default net at the paper batch shape, for k = 3, 5 and 12: 16
@@ -45,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from specsiam import bayesopt, classify  # noqa: E402
+from specsiam import bayesopt, classify, evaluate  # noqa: E402
 from specsiam.pairing import PairBatch, PairExample  # noqa: E402
 from specsiam import siamese as S  # noqa: E402
 
@@ -118,18 +120,19 @@ def stage_rows(repeats, rng):
         table = classify.LabeledFeatures(tuple(f"s{i}" for i in range(n)), (0,) * n, x, y)
         ms = best_ms(classify.fit, spec, table, repeats=repeats)
         print(f"| xgb fit, default spec | {n}x{d} | {ms:.1f} |", flush=True)
-    space = classify.classifier_search_space(classify.ClassifierKind.SVM)
-    state = bayesopt.BoState(space=space, seed=3)
-    for u in rng.random((9, space.n_dims)):
-        raw = space.from_unit(u)
-        state.unit_points.append(space.to_unit(raw))
-        state.raw_configs.append(raw)
-        state.values.append(float(rng.random()))
-    points, values = np.array(state.unit_points), np.array(state.values)
-    ms = best_ms(bayesopt.gp_fit, points, values, repeats=repeats)
-    print(f"| gp_fit | n=9, d=3 | {ms:.1f} |", flush=True)
-    ms = best_ms(bayesopt.propose_next, state, space, repeats=repeats)
-    print(f"| propose_next | n=9, d=3 | {ms:.1f} |", flush=True)
+    svm = classify.classifier_search_space(classify.ClassifierKind.SVM)
+    for space, n in ((svm, 9), (svm, 15), (evaluate.snn_search_space(), 55)):
+        state = bayesopt.BoState(space=space, seed=3)
+        for u in rng.random((n, space.n_dims)):
+            raw = space.from_unit(u)
+            state.unit_points.append(space.to_unit(raw))
+            state.raw_configs.append(raw)
+            state.values.append(float(rng.random()))
+        points, values = np.array(state.unit_points), np.array(state.values)
+        ms = best_ms(bayesopt.gp_fit, points, values, repeats=repeats)
+        print(f"| gp_fit | n={n}, d={space.n_dims} | {ms:.1f} |", flush=True)
+        ms = best_ms(bayesopt.propose_next, state, space, repeats=repeats)
+        print(f"| propose_next | n={n}, d={space.n_dims} | {ms:.1f} |", flush=True)
 
 
 def paper_batch(rng, n_channels=16, shape=(129, 59)):

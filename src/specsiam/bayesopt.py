@@ -7,6 +7,13 @@ candidates maximize EI, both by multi-start L-BFGS-B search with analytic
 gradients. Candidates are snapped back to the raw space; discrete dimensions
 snap to the nearest listed value. All objectives are maximized (validation
 accuracies).
+
+The surrogate's matrices are small (n ≤ 60 evaluations), so its inner loop
+calls the LAPACK routines behind scipy.linalg's cholesky, cho_solve and
+solve_triangular directly, with the arguments those wrappers pass, and
+computes what a fit or a posterior holds fixed once: proposals, traces and
+reports are bit-identical to the wrapped calls, at a fraction of the
+per-call overhead.
 """
 
 from __future__ import annotations
@@ -169,9 +176,13 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _matern52(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray, signal_var: float):
     sa = xa / lengthscales
-    sb = xb / lengthscales
+    return _matern52_scaled(sa, (sa * sa).sum(axis=1), xb / lengthscales, signal_var)
+
+
+def _matern52_scaled(sa: np.ndarray, sa_norms: np.ndarray, sb: np.ndarray, signal_var: float):
+    """The kernel between points already divided by the lengthscales; sa_norms = Σ sa²."""
     d2 = (
-        (sa * sa).sum(axis=1)[:, None]
+        sa_norms[:, None]
         + (sb * sb).sum(axis=1)[None, :]
         - 2.0 * (sa @ sb.T)
     )
@@ -180,12 +191,61 @@ def _matern52(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray, signal_v
     return signal_var * (1.0 + sq5r + 5.0 * d2 / 3.0) * np.exp(-sq5r)
 
 
+# The double-precision LAPACK routines that scipy.linalg's cholesky, cho_solve
+# and solve_triangular call, resolved once. Each helper below passes the
+# arguments its wrapper passes (lower factor, clean=True, no overwrite) and
+# raises what the wrapper raises, so results are bit-identical; the wrappers'
+# batching, validation and lookups cost more than the solves on these sizes.
+_POTRF, _POTRS, _TRTRS = sp_linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    """What check_finite=True does to float arrays."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """sp_linalg.cholesky(a, lower=True)."""
+    _check_finite(a)
+    c, info = _POTRF(a, lower=True, overwrite_a=False, clean=True)
+    if info > 0:
+        raise sp_linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
+    return c
+
+
+def _cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sp_linalg.cho_solve((lower, True), b)."""
+    _check_finite(b, lower)
+    x, info = _POTRS(lower, b, lower=True, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _solve_lower(lower: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """sp_linalg.solve_triangular(lower, b, lower=True, trans=trans) for trans 0 or 1."""
+    _check_finite(lower, b)
+    if lower.flags.f_contiguous:
+        x, info = _TRTRS(lower, b, overwrite_b=False, lower=True, trans=trans, unitdiag=False)
+    else:  # trtrs expects Fortran order: solve the transposed system
+        x, info = _TRTRS(lower.T, b, overwrite_b=False, lower=False, trans=not trans, unitdiag=False)
+    if info > 0:
+        raise sp_linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def _chol_with_jitter(k: np.ndarray, noise_var: float):
     n = k.shape[0]
     jitter = 0.0
     for _ in range(8):
         try:
-            lower = sp_linalg.cholesky(k + (noise_var + jitter) * np.eye(n), lower=True)
+            lower = _cholesky(k + (noise_var + jitter) * np.eye(n))
             return lower, jitter
         except sp_linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
@@ -206,6 +266,13 @@ class GpPosterior:
     y_scale: float
     chol_lower: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
+    # x_train / lengthscales and its squared row norms, fixed for the posterior
+    _scaled: np.ndarray = field(init=False, repr=False, compare=False)
+    _scaled_norms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._scaled = self.x_train / self.lengthscales
+        self._scaled_norms = (self._scaled * self._scaled).sum(axis=1)
 
     def predict(self, x_query) -> tuple[np.ndarray, np.ndarray]:
         mu, var, _, _ = self._posterior(np.atleast_2d(np.asarray(x_query, dtype=np.float64)))
@@ -213,9 +280,9 @@ class GpPosterior:
 
     def _posterior(self, xq: np.ndarray):
         """Mean and variance at xq, plus k(X, xq) and v = L⁻¹k(X, xq) for gradients."""
-        k_star = _matern52(self.x_train, xq, self.lengthscales, self.signal_var)
+        k_star = _matern52_scaled(self._scaled, self._scaled_norms, xq / self.lengthscales, self.signal_var)
         mu = self.y_mean + self.y_scale * (k_star.T @ self.alpha)
-        v = sp_linalg.solve_triangular(self.chol_lower, k_star, lower=True)
+        v = _solve_lower(self.chol_lower, k_star)
         var = self.signal_var - (v * v).sum(axis=0)
         var = np.maximum(var, 0.0) * self.y_scale**2
         return mu, var, k_star, v
@@ -229,15 +296,19 @@ class GpPosterior:
         }
 
 
-def _neg_log_marginal(log_params, x, y_std, fixed_noise):
+def _neg_log_marginal(log_params, x, y_std, fixed_noise, diffs=None, eye=None):
     """Negative log marginal likelihood and its gradient in log_params.
 
     log_params holds the log lengthscales, the log signal variance and, when
     fixed_noise is None, the log noise variance. Each gradient entry is
     0.5·tr((ααᵀ − K⁻¹) ∂K/∂θ) (Rasmussen & Williams 2006, eq. 5.9). A
     covariance that cannot be factored scores 1e9 with a zero gradient.
+    diffs (x[:, None] − x[None]) and eye (the n×n identity) depend on x
+    alone; gp_fit passes them in once per fit.
     """
     n, d = x.shape
+    if diffs is None:
+        diffs, eye = x[:, None, :] - x[None, :, :], np.eye(n)
     ls = np.exp(log_params[:d])
     sf = math.exp(log_params[d])
     if fixed_noise is None:
@@ -248,10 +319,10 @@ def _neg_log_marginal(log_params, x, y_std, fixed_noise):
     failed = 1e9, np.zeros_like(log_params)
     k = _matern52(x, x, ls, sf)
     try:
-        lower = sp_linalg.cholesky(k + (sn + 1e-12) * np.eye(n), lower=True)
+        lower = _cholesky(k + (sn + 1e-12) * eye)
     except sp_linalg.LinAlgError:
         return failed
-    alpha = sp_linalg.cho_solve((lower, True), y_std)
+    alpha = _cho_solve(lower, y_std)
     lml = (
         -0.5 * float(y_std @ alpha)
         - float(np.log(np.diag(lower)).sum())
@@ -259,9 +330,9 @@ def _neg_log_marginal(log_params, x, y_std, fixed_noise):
     )
     if not math.isfinite(lml):
         return failed
-    w = np.outer(alpha, alpha) - sp_linalg.cho_solve((lower, True), np.eye(n))
+    w = np.outer(alpha, alpha) - _cho_solve(lower, eye)
     # dk/dlog l_i = sf·(5/3)(1 + √5 r)e^(−√5 r)·(Δ_i/l_i)²
-    scaled_sq = ((x[:, None, :] - x[None, :, :]) / ls) ** 2
+    scaled_sq = (diffs / ls) ** 2
     r = np.sqrt(scaled_sq.sum(axis=2))
     radial = sf * (5.0 / 3.0) * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
     grad = np.empty_like(log_params)
@@ -304,11 +375,12 @@ def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed
         for _ in range(n_restarts):
             starts.append(np.array([rng.uniform(lo, hi) for lo, hi in bounds]))
         best_val = math.inf
+        invariants = (x[:, None, :] - x[None, :, :], np.eye(x.shape[0]))
         for start in starts:
             res = sp_optimize.minimize(
                 _neg_log_marginal,
                 start,
-                args=(x, y_std, noise),
+                args=(x, y_std, noise, *invariants),
                 method="L-BFGS-B",
                 jac=True,
                 bounds=bounds,
@@ -326,7 +398,7 @@ def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed
         sn = max(math.exp(best_params[d + 1]), NOISE_FLOOR)
     k = _matern52(x, x, ls, sf)
     lower, _ = _chol_with_jitter(k, sn)
-    alpha = sp_linalg.cho_solve((lower, True), y_std)
+    alpha = _cho_solve(lower, y_std)
     return GpPosterior(
         x_train=x,
         lengthscales=ls,
@@ -387,7 +459,7 @@ def _neg_ei_and_grad(u, gp: GpPosterior, best_value: float):
     dmu = gp.y_scale * (gp.alpha @ dk)
     if not live[0]:
         return -float(ei[0]), -dmu
-    k_inv_k = sp_linalg.solve_triangular(gp.chol_lower, v[:, 0], lower=True, trans="T")
+    k_inv_k = _solve_lower(gp.chol_lower, v[:, 0], trans=1)
     dsigma = -(gp.y_scale**2) * (k_inv_k @ dk) / sigma[0]
     return -float(ei[0]), -(cdf[0] * dmu + pdf[0] * dsigma)
 

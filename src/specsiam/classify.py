@@ -121,6 +121,8 @@ class LabeledFeatures:
         header = lines[0] if lines else None
         if not header or header[0] != "subject_id" or header[-1] != "label":
             raise DataError(f"{path} is not a feature table CSV")
+        if len(header) < 4:
+            raise DataError(f"{path}: no feature columns between 'channel' and 'label'")
         sids, chans, rows, labels = [], [], [], []
         for lineno, row in enumerate(lines[1:], start=2):
             if not row:
@@ -136,10 +138,16 @@ class LabeledFeatures:
                 rows.append([float(v) for v in row[2:-1]])
             except ValueError as exc:
                 raise DataError(f"{path}: non-numeric feature at line {lineno}") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                j = next(j for j, v in enumerate(rows[-1]) if not math.isfinite(v))
+                raise DataError(f"{path}: non-finite value {row[2 + j]!r} in column "
+                                f"'{header[2 + j]}' at line {lineno}")
             try:
                 labels.append(1 if Label(row[-1]) is Label.CASE else 0)
             except ValueError:
                 raise DataError(f"{path}: bad label {row[-1]!r} at line {lineno}") from None
+        if not rows:
+            raise DataError(f"{path}: no feature rows")
         return LabeledFeatures(tuple(sids), tuple(chans), np.asarray(rows), np.asarray(labels))
 
 

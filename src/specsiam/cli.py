@@ -439,7 +439,9 @@ def _cmd_tune_clf(args) -> int:
     spec, state = evaluate.tune_classifier(
         table, kind, n_init=args.init, n_acquisitions=args.budget, seed=args.seed, k=args.k
     )
-    write_trace_csv(state, out / "clf_bo_trace.csv")
+    trace_path = out / "clf_bo_trace.csv"
+    write_trace_csv(state, trace_path)
+    evaluate.require_a_success(state, "classifier tuning", trace_path)
     best = {"model": kind.value, "params": spec.params, "best_objective": state.best_value}
     write_json(out / "best_spec.json", best)
     _write_run_manifest(

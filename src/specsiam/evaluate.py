@@ -58,6 +58,7 @@ __all__ = [
     "snn_search_space",
     "tune_snn",
     "tune_classifier",
+    "require_a_success",
     "compute_metrics",
     "run_pipeline",
     "pipeline_config_to_dict",
@@ -424,14 +425,19 @@ def tune_snn(
     best, state = optimize(objective, space, n_init=n_init, n_acquisitions=n_acquisitions, seed=seed)
     if trace_path is not None:
         write_trace_csv(state, trace_path)
-    if len(state.failures) == len(state.values):  # the best of all-zero scores is no choice
-        where = f"; see the trace {trace_path}" if trace_path is not None else ""
-        raise DataError(
-            f"network tuning: all {len(state.values)} evaluations failed, the first with "
-            f"'{state.failures[0]['error']}'{where}"
-        )
+    require_a_success(state, "network tuning", trace_path)
     stft, net = _apply_snn_config(config.stft, config.net, best)
     return stft, net, state
+
+
+def require_a_success(state: BoState, task: str, trace_path: str | Path | None = None) -> None:
+    """DataError when every evaluation failed: the best of all-zero scores is no choice."""
+    if len(state.failures) == len(state.values):
+        where = f"; see the trace {trace_path}" if trace_path is not None else ""
+        raise DataError(
+            f"{task}: all {len(state.values)} evaluations failed, the first with "
+            f"'{state.failures[0]['error']}'{where}"
+        )
 
 
 def tune_classifier(

@@ -20,6 +20,7 @@ from specsiam.bayesopt import (
     propose_next,
     write_trace_csv,
 )
+from specsiam.classify import ClassifierKind, classifier_search_space
 from specsiam.errors import DataError, NumericalError
 
 
@@ -270,6 +271,103 @@ class TestAnalyticGradients:
         queries = np.vstack([np.random.default_rng(3).random((500, 3)), x])
         for best in (float(y.max()), float(y.mean())):
             np.testing.assert_array_equal(expected_improvement(gp, queries, best), oracle_ei(gp, queries, best))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestDirectLapack:
+    """The direct LAPACK helpers against the scipy.linalg wrappers they stand for, bit for bit."""
+
+    def spd(self, n, seed):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        return a @ a.T + n * np.eye(n)
+
+    def right_hand_sides(self, n, seed):
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal((n, 5))
+        return [rng.standard_normal(n), wide, wide[:, 2], np.eye(n)]  # wide[:, 2] is a strided view
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 55])
+    def test_cholesky_and_cho_solve_match_scipy(self, n):
+        a = self.spd(n, seed=n)
+        lower = bayesopt._cholesky(a)
+        assert_same_bits(lower, sp_linalg.cholesky(a, lower=True))
+        for b in self.right_hand_sides(n, seed=n + 1):
+            before = b.copy()
+            assert_same_bits(bayesopt._cho_solve(lower, b), sp_linalg.cho_solve((lower, True), b))
+            assert_same_bits(b, before)  # the right-hand side is not overwritten
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 9, 55])
+    def test_solve_lower_matches_scipy(self, n, order, trans):
+        lower = np.array(sp_linalg.cholesky(self.spd(n, seed=n), lower=True), order=order)
+        assert lower.flags.f_contiguous == (order == "F" or n == 1)
+        for b in self.right_hand_sides(n, seed=n + 2):
+            before = b.copy()
+            want = sp_linalg.solve_triangular(lower, b, lower=True, trans=trans)
+            assert_same_bits(bayesopt._solve_lower(lower, b, trans=trans), want)
+            assert_same_bits(b, before)
+
+    def test_non_finite_input_raises_the_wrappers_value_error(self):
+        a = self.spd(3, seed=0)
+        lower = sp_linalg.cholesky(a, lower=True)
+        bad = a.copy()
+        bad[1, 2] = np.nan
+        b = np.array([1.0, np.inf, 0.0])
+        for ours, theirs in (
+            (lambda: bayesopt._cholesky(bad), lambda: sp_linalg.cholesky(bad, lower=True)),
+            (lambda: bayesopt._cho_solve(lower, b), lambda: sp_linalg.cho_solve((lower, True), b)),
+            (lambda: bayesopt._cho_solve(bad, b[[0, 2, 0]]), lambda: sp_linalg.cho_solve((bad, True), b[[0, 2, 0]])),
+            (lambda: bayesopt._solve_lower(lower, b), lambda: sp_linalg.solve_triangular(lower, b, lower=True)),
+            (lambda: bayesopt._solve_lower(bad, b[[0, 2, 0]]), lambda: sp_linalg.solve_triangular(bad, b[[0, 2, 0]], lower=True)),
+        ):
+            with pytest.raises(ValueError) as want:
+                theirs()
+            with pytest.raises(ValueError) as got:
+                ours()
+            assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    def test_not_positive_definite_takes_the_jitter_path(self):
+        k = np.ones((3, 3))  # rank one: the bare factorisation fails
+        with pytest.raises(sp_linalg.LinAlgError, match="not positive definite"):
+            bayesopt._cholesky(k)
+        lower, jitter = bayesopt._chol_with_jitter(k, 0.0)
+        assert jitter > 0.0
+        assert_same_bits(lower, sp_linalg.cholesky(k + jitter * np.eye(3), lower=True))
+        x = np.array([[0.1], [0.5], [0.9]])
+        value, grad = bayesopt._neg_log_marginal(np.log([0.3, 1.0]), x, np.array([-1.0, 0.0, 1.0]), -10.0)
+        assert value == 1e9 and grad.tolist() == [0.0, 0.0]
+
+    def test_posterior_kernel_equals_the_unhoisted_kernel(self):
+        x = np.random.default_rng(5).random((9, 3))
+        gp = gp_fit(x, np.sin(4.0 * x[:, 0]), seed=1)
+        xq = np.random.default_rng(6).random((7, 3))
+        _, _, k_star, _ = gp._posterior(xq)
+        assert_same_bits(k_star, bayesopt._matern52(x, xq, gp.lengthscales, gp.signal_var))
+
+    def test_optimize_on_the_svm_space_equals_the_scipy_wrapper_run(self, monkeypatch):
+        space = classifier_search_space(ClassifierKind.SVM)
+
+        def objective(raw):
+            u = space.to_unit(raw)
+            return float(np.exp(-3.0 * ((u - 0.3) ** 2).sum()))
+
+        def run():
+            _, state = optimize(objective, space, n_init=5, n_acquisitions=4, seed=11)
+            return [u.tolist() for u in state.unit_points], state.values, state.gp_hyperparams
+
+        direct = run()
+        monkeypatch.setattr(bayesopt, "_cholesky", lambda a: sp_linalg.cholesky(a, lower=True))
+        monkeypatch.setattr(bayesopt, "_cho_solve", lambda lower, b: sp_linalg.cho_solve((lower, True), b))
+        monkeypatch.setattr(
+            bayesopt, "_solve_lower",
+            lambda lower, b, trans=0: sp_linalg.solve_triangular(lower, b, lower=True, trans=trans),
+        )
+        assert run() == direct
 
 
 class TestExpectedImprovement:

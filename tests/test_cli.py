@@ -394,6 +394,38 @@ class TestConfigFile:
             code, err = run_main(argv + ["--out", str(tmp_path / "out")])
             assert code == 2 and f"{signal} is not UTF-8" in err and "Traceback" not in err, argv
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [("subject_id,channel,label\r\ncase00,0,case\r\n", "no feature columns between 'channel' and 'label'"),
+         ("subject_id,channel,f_1,f_2,label\r\n", "no feature rows"),
+         ("subject_id,channel,f_1,f_2,label\r\ncase00,0,1.0,2.0,case\r\nctrl00,0,0.5,nan,control\r\n",
+          "non-finite value 'nan' in column 'f_2' at line 3")],
+        ids=["no-feature-columns", "header-only", "nan-cell"],
+    )
+    def test_malformed_tables_name_the_file(self, tmp_path, body, message):
+        path = tmp_path / "features.csv"
+        path.write_text(body, encoding="utf-8")
+        for argv in (["tune-clf", "--features", str(path), "--model", "knn", "--init", "1", "--budget", "0"],
+                     ["classify", "--features", str(path), "--model", "knn"]):
+            code, err = run_main(argv + ["--out", str(tmp_path / "out")])
+            assert code == 2 and f"{path}: {message}" in err and "Traceback" not in err, argv
+
+    def test_tune_clf_with_every_evaluation_failed_exits_2_after_the_trace(self, synth_dir, tmp_path):
+        feats = tmp_path / "feats"
+        assert main(["extract", "--manifest", manifest_of(synth_dir), "--fft", "--max-freq-hz", "5",
+                     "--out", str(feats)]) == 0
+        lines = (feats / "features.csv").read_text(encoding="utf-8").splitlines()
+        cases = tmp_path / "cases.csv"  # one class: every k-fold evaluation fails
+        cases.write_text("\n".join([lines[0], *(ln for ln in lines[1:] if ln.endswith(",case"))]) + "\n")
+        out = tmp_path / "out"
+        code, err = run_main(["tune-clf", "--features", str(cases), "--model", "knn", "--init", "2",
+                              "--budget", "1", "--out", str(out)])
+        trace = out / "clf_bo_trace.csv"
+        assert code == 2 and "Traceback" not in err
+        assert "classifier tuning: all 3 evaluations failed" in err and str(trace) in err
+        assert len(trace.read_text(encoding="utf-8").splitlines()) == 4
+        assert not (out / "best_spec.json").exists()
+
     def test_synth_rejects_unknown_and_unconvertible_keys(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         for content, field in (({"case": 3}, "case"), ({"cases": "3"}, "cases")):
