@@ -11,9 +11,12 @@ accuracies).
 The surrogate's matrices are small (n ≤ 60 evaluations), so its inner loop
 calls the LAPACK routines behind scipy.linalg's cholesky, cho_solve and
 solve_triangular directly, with the arguments those wrappers pass, and
-computes what a fit or a posterior holds fixed once: proposals, traces and
-reports are bit-identical to the wrapped calls, at a fraction of the
-per-call overhead.
+drives scipy's L-BFGS-B routine (setulb) with the loop, settings and
+evaluation caching of scipy.optimize.minimize(method="L-BFGS-B", jac=True).
+What a fit or a posterior holds fixed (pairwise differences, the identity,
+the standardized values, the Cholesky factor) is computed and checked for
+finiteness once. Proposals, traces and reports are bit-identical to the
+wrapped calls, at a fraction of the per-call overhead.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 from scipy import linalg as sp_linalg
-from scipy import optimize as sp_optimize
 from scipy import special as sp_special
+from scipy.optimize import _lbfgsb
 
 from .errors import DataError, NumericalError
 
@@ -176,14 +179,17 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _matern52(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray, signal_var: float):
     sa = xa / lengthscales
-    return _matern52_scaled(sa, (sa * sa).sum(axis=1), xb / lengthscales, signal_var)
+    sb = xb / lengthscales
+    return _matern52_scaled(sa, (sa * sa).sum(axis=1), sb, (sb * sb).sum(axis=1), signal_var)
 
 
-def _matern52_scaled(sa: np.ndarray, sa_norms: np.ndarray, sb: np.ndarray, signal_var: float):
-    """The kernel between points already divided by the lengthscales; sa_norms = Σ sa²."""
+def _matern52_scaled(
+    sa: np.ndarray, sa_norms: np.ndarray, sb: np.ndarray, sb_norms: np.ndarray, signal_var: float
+):
+    """The kernel between points already divided by the lengthscales, given their squared row norms."""
     d2 = (
         sa_norms[:, None]
-        + (sb * sb).sum(axis=1)[None, :]
+        + sb_norms[None, :]
         - 2.0 * (sa @ sb.T)
     )
     r = np.sqrt(np.maximum(d2, 0.0))
@@ -196,6 +202,8 @@ def _matern52_scaled(sa: np.ndarray, sa_norms: np.ndarray, sb: np.ndarray, signa
 # arguments its wrapper passes (lower factor, clean=True, no overwrite) and
 # raises what the wrapper raises, so results are bit-identical; the wrappers'
 # batching, validation and lookups cost more than the solves on these sizes.
+# Callers that hold a factor or a right-hand side fixed for a whole fit or
+# posterior check it once and pass check_finite=False, as scipy allows.
 _POTRF, _POTRS, _TRTRS = sp_linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
 
 
@@ -217,18 +225,20 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     return c
 
 
-def _cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sp_linalg.cho_solve((lower, True), b)."""
-    _check_finite(b, lower)
+def _cho_solve(lower: np.ndarray, b: np.ndarray, check_finite: bool = True) -> np.ndarray:
+    """sp_linalg.cho_solve((lower, True), b, check_finite=check_finite)."""
+    if check_finite:
+        _check_finite(b, lower)
     x, info = _POTRS(lower, b, lower=True, overwrite_b=False)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
 
 
-def _solve_lower(lower: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """sp_linalg.solve_triangular(lower, b, lower=True, trans=trans) for trans 0 or 1."""
-    _check_finite(lower, b)
+def _solve_lower(lower: np.ndarray, b: np.ndarray, trans: int = 0, check_finite: bool = True) -> np.ndarray:
+    """sp_linalg.solve_triangular(lower, b, lower=True, trans=trans, check_finite=check_finite), trans 0 or 1."""
+    if check_finite:
+        _check_finite(lower, b)
     if lower.flags.f_contiguous:
         x, info = _TRTRS(lower, b, overwrite_b=False, lower=True, trans=trans, unitdiag=False)
     else:  # trtrs expects Fortran order: solve the transposed system
@@ -254,6 +264,58 @@ def _chol_with_jitter(k: np.ndarray, noise_var: float):
     )
 
 
+# scipy.optimize.minimize(method="L-BFGS-B")'s defaults: maxcor, ftol / eps,
+# gtol, maxls, maxiter and maxfun.
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = _LBFGSB_MAXFUN = 15000
+_FG, _NEW_X, _STOP = 3, 1, 5  # setulb's task codes
+
+
+def _lbfgsb_minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, args=()):
+    """minimize(fun, x0, args, method="L-BFGS-B", jac=True, bounds=zip(lower, upper)), reduced to its loop.
+
+    Returns the final x, f and the number of objective evaluations; fun
+    returns (f, gradient). Like scipy's _minimize_lbfgsb, x0 is clipped to
+    the (finite) bounds and evaluated first, fun gets a copy of x and is not
+    called again while x is unchanged, and the iteration and evaluation
+    limits stop the run after the iteration that reaches them.
+    """
+    n = x0.size
+    m = _LBFGSB_M
+    x = np.clip(x0, lower, upper)
+    nbd = np.full(n, 2, np.int32)  # bounded below and above
+    x_seen = x.copy()
+    f_seen, g_seen = fun(x.copy(), *args)
+    nfev = 1
+    f, g = f_seen, g_seen
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    n_iterations = 0
+    while True:
+        g = g.astype(np.float64)  # a copy, as scipy passes it: the cached gradient is never written
+        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task,
+                       lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == _FG:
+            if not np.array_equal(x, x_seen):
+                x_seen = x.copy()
+                f_seen, g_seen = fun(x.copy(), *args)
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == _NEW_X:
+            n_iterations += 1
+            if n_iterations >= _LBFGSB_MAXITER:
+                task[:] = _STOP, 504
+            elif nfev > _LBFGSB_MAXFUN:
+                task[:] = _STOP, 502
+        else:
+            return x, f, nfev
+
+
 @dataclass
 class GpPosterior:
     """Fitted GP over unit-cube points; predicts standardized-then-descaled values."""
@@ -271,6 +333,7 @@ class GpPosterior:
     _scaled_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_finite(self.chol_lower)  # once: every solve below passes check_finite=False for it
         self._scaled = self.x_train / self.lengthscales
         self._scaled_norms = (self._scaled * self._scaled).sum(axis=1)
 
@@ -280,9 +343,11 @@ class GpPosterior:
 
     def _posterior(self, xq: np.ndarray):
         """Mean and variance at xq, plus k(X, xq) and v = L⁻¹k(X, xq) for gradients."""
-        k_star = _matern52_scaled(self._scaled, self._scaled_norms, xq / self.lengthscales, self.signal_var)
+        sq = xq / self.lengthscales
+        k_star = _matern52_scaled(self._scaled, self._scaled_norms, sq, (sq * sq).sum(axis=1), self.signal_var)
         mu = self.y_mean + self.y_scale * (k_star.T @ self.alpha)
-        v = _solve_lower(self.chol_lower, k_star)
+        _check_finite(k_star)
+        v = _solve_lower(self.chol_lower, k_star, check_finite=False)
         var = self.signal_var - (v * v).sum(axis=0)
         var = np.maximum(var, 0.0) * self.y_scale**2
         return mu, var, k_star, v
@@ -304,11 +369,13 @@ def _neg_log_marginal(log_params, x, y_std, fixed_noise, diffs=None, eye=None):
     0.5·tr((ααᵀ − K⁻¹) ∂K/∂θ) (Rasmussen & Williams 2006, eq. 5.9). A
     covariance that cannot be factored scores 1e9 with a zero gradient.
     diffs (x[:, None] − x[None]) and eye (the n×n identity) depend on x
-    alone; gp_fit passes them in once per fit.
+    alone; gp_fit passes them in once per fit, with y_std already checked
+    for finiteness (eye is finite by construction).
     """
     n, d = x.shape
     if diffs is None:
         diffs, eye = x[:, None, :] - x[None, :, :], np.eye(n)
+        _check_finite(y_std)
     ls = np.exp(log_params[:d])
     sf = math.exp(log_params[d])
     if fixed_noise is None:
@@ -317,12 +384,15 @@ def _neg_log_marginal(log_params, x, y_std, fixed_noise, diffs=None, eye=None):
     else:
         sn = fixed_noise
     failed = 1e9, np.zeros_like(log_params)
-    k = _matern52(x, x, ls, sf)
+    scaled = x / ls
+    norms = (scaled * scaled).sum(axis=1)
+    k = _matern52_scaled(scaled, norms, scaled, norms, sf)
     try:
         lower = _cholesky(k + (sn + 1e-12) * eye)
     except sp_linalg.LinAlgError:
         return failed
-    alpha = _cho_solve(lower, y_std)
+    _check_finite(lower)
+    alpha = _cho_solve(lower, y_std, check_finite=False)
     lml = (
         -0.5 * float(y_std @ alpha)
         - float(np.log(np.diag(lower)).sum())
@@ -330,7 +400,7 @@ def _neg_log_marginal(log_params, x, y_std, fixed_noise, diffs=None, eye=None):
     )
     if not math.isfinite(lml):
         return failed
-    w = np.outer(alpha, alpha) - _cho_solve(lower, eye)
+    w = np.outer(alpha, alpha) - _cho_solve(lower, eye, check_finite=False)
     # dk/dlog l_i = sf·(5/3)(1 + √5 r)e^(−√5 r)·(Δ_i/l_i)²
     scaled_sq = (diffs / ls) ** 2
     r = np.sqrt(scaled_sq.sum(axis=2))
@@ -361,6 +431,7 @@ def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed
     if y_scale < 1e-12:
         y_scale = 1.0
     y_std = (y - y_mean) / y_scale
+    _check_finite(y_std)
 
     default = np.concatenate([np.log(np.full(d, 0.3)), [0.0]])
     if noise is None:
@@ -374,21 +445,15 @@ def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed
         starts = [default]
         for _ in range(n_restarts):
             starts.append(np.array([rng.uniform(lo, hi) for lo, hi in bounds]))
+        low, high = (np.array(b) for b in zip(*bounds))
         best_val = math.inf
-        invariants = (x[:, None, :] - x[None, :, :], np.eye(x.shape[0]))
+        args = (x, y_std, noise, x[:, None, :] - x[None, :, :], np.eye(x.shape[0]))
         for start in starts:
-            res = sp_optimize.minimize(
-                _neg_log_marginal,
-                start,
-                args=(x, y_std, noise, *invariants),
-                method="L-BFGS-B",
-                jac=True,
-                bounds=bounds,
-            )
-            val = res.fun if math.isfinite(res.fun) else 1e9
+            params, fun, _ = _lbfgsb_minimize(_neg_log_marginal, start, low, high, args)
+            val = fun if math.isfinite(fun) else 1e9
             if val < best_val:
                 best_val = val
-                best_params = res.x
+                best_params = params
 
     ls = np.exp(best_params[:d])
     sf = math.exp(best_params[d])
@@ -398,7 +463,7 @@ def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed
         sn = max(math.exp(best_params[d + 1]), NOISE_FLOOR)
     k = _matern52(x, x, ls, sf)
     lower, _ = _chol_with_jitter(k, sn)
-    alpha = _cho_solve(lower, y_std)
+    alpha = _cho_solve(lower, y_std, check_finite=False)  # GpPosterior checks lower
     return GpPosterior(
         x_train=x,
         lengthscales=ls,
@@ -459,7 +524,8 @@ def _neg_ei_and_grad(u, gp: GpPosterior, best_value: float):
     dmu = gp.y_scale * (gp.alpha @ dk)
     if not live[0]:
         return -float(ei[0]), -dmu
-    k_inv_k = _solve_lower(gp.chol_lower, v[:, 0], trans=1)
+    _check_finite(v[:, 0])
+    k_inv_k = _solve_lower(gp.chol_lower, v[:, 0], trans=1, check_finite=False)
     dsigma = -(gp.y_scale**2) * (k_inv_k @ dk) / sigma[0]
     return -float(ei[0]), -(cdf[0] * dmu + pdf[0] * dsigma)
 
@@ -513,12 +579,10 @@ def propose_next(state: BoState, space: SearchSpace, restarts: int = 10) -> dict
     starts.append(np.clip(np.array(state.unit_points[state.best_index]) + 0.05 * rng.standard_normal(d), 0, 1))
     best_u = None
     best_ei = -math.inf
-    bounds = [(0.0, 1.0)] * d
+    low, high = np.zeros(d), np.ones(d)
     for start in starts:
-        res = sp_optimize.minimize(
-            _neg_ei_and_grad, start, args=(gp, best_value), method="L-BFGS-B", jac=True, bounds=bounds
-        )
-        u = np.clip(res.x, 0.0, 1.0)
+        u, _, _ = _lbfgsb_minimize(_neg_ei_and_grad, start, low, high, (gp, best_value))
+        u = np.clip(u, 0.0, 1.0)
         ei = expected_improvement(gp, u, best_value)
         if ei > best_ei:
             best_ei = ei

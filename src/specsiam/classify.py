@@ -124,6 +124,7 @@ class LabeledFeatures:
         if len(header) < 4:
             raise DataError(f"{path}: no feature columns between 'channel' and 'label'")
         sids, chans, rows, labels = [], [], [], []
+        first_label: dict[str, tuple[str, int]] = {}  # subject -> (label, line)
         for lineno, row in enumerate(lines[1:], start=2):
             if not row:
                 continue
@@ -146,6 +147,10 @@ class LabeledFeatures:
                 labels.append(1 if Label(row[-1]) is Label.CASE else 0)
             except ValueError:
                 raise DataError(f"{path}: bad label {row[-1]!r} at line {lineno}") from None
+            label, line = first_label.setdefault(row[0], (row[-1], lineno))
+            if label != row[-1]:
+                raise DataError(f"{path}: subject {row[0]!r} is labelled {row[-1]!r} at line {lineno} "
+                                f"but {label!r} at line {line}")
         if not rows:
             raise DataError(f"{path}: no feature rows")
         return LabeledFeatures(tuple(sids), tuple(chans), np.asarray(rows), np.asarray(labels))

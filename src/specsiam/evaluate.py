@@ -53,6 +53,7 @@ __all__ = [
     "parse_pipeline",
     "fft_feature_table",
     "loocv",
+    "classifier_folds",
     "kfold_classifier_objective",
     "kfold_snn_objective",
     "snn_search_space",
@@ -300,21 +301,38 @@ def stratified_subject_folds(labels: dict[str, Label], k: int, seed: int) -> lis
     return folds
 
 
-def kfold_classifier_objective(
-    table: LabeledFeatures, spec: ClassifierSpec, k: int = 5, seed: int = 0
-) -> float:
-    """Mean channel-instance validation accuracy over stratified subject folds."""
+def classifier_folds(
+    table: LabeledFeatures, k: int, seed: int
+) -> list[tuple[LabeledFeatures, LabeledFeatures, int]]:
+    """The stratified subject folds of table as (training table, validation table, fit seed)."""
     labels = {
         sid: (Label.CASE if lab == 1 else Label.CONTROL)
         for sid, lab in table.subject_labels().items()
     }
-    folds = stratified_subject_folds(labels, k, seed)
     all_ids = set(labels)
+    return [
+        (table.subset(all_ids - set(val_ids)), table.subset(val_ids), _derive_seed(seed, 100 + i))
+        for i, val_ids in enumerate(stratified_subject_folds(labels, k, seed))
+    ]
+
+
+def kfold_classifier_objective(
+    table: LabeledFeatures,
+    spec: ClassifierSpec,
+    k: int = 5,
+    seed: int = 0,
+    folds: list[tuple[LabeledFeatures, LabeledFeatures, int]] | None = None,
+) -> float:
+    """Mean channel-instance validation accuracy over stratified subject folds.
+
+    folds, when given, is classifier_folds(table, k, seed), built once by a
+    caller that scores many specs on one table.
+    """
+    if folds is None:
+        folds = classifier_folds(table, k, seed)
     accuracies = []
-    for i, val_ids in enumerate(folds):
-        train_table = table.subset(all_ids - set(val_ids))
-        val_table = table.subset(val_ids)
-        model = classify.fit(spec, train_table, seed=_derive_seed(seed, 100 + i))
+    for train_table, val_table, fit_seed in folds:
+        model = classify.fit(spec, train_table, seed=fit_seed)
         preds = model.predict(val_table.x)
         accuracies.append(float((preds == val_table.y).mean()))
     return float(np.mean(accuracies))
@@ -448,11 +466,21 @@ def tune_classifier(
     seed: int = 0,
     k: int = 5,
 ) -> tuple[ClassifierSpec, BoState]:
-    """Bayesian-optimize one classifier's hyperparameters on a feature table."""
+    """Bayesian-optimize one classifier's hyperparameters on a feature table.
+
+    The inner folds are built once, by the first evaluation; while they
+    cannot be built (too few subjects for k), each evaluation fails with
+    that error.
+    """
     space = classify.classifier_search_space(kind)
+    fold_seed = _derive_seed(seed, 23)
+    folds: list = []
 
     def objective(raw: dict) -> float:
-        return kfold_classifier_objective(table, ClassifierSpec(kind, raw), k=k, seed=_derive_seed(seed, 23))
+        spec = ClassifierSpec(kind, raw)
+        if not folds:
+            folds.extend(classifier_folds(table, k, fold_seed))
+        return kfold_classifier_objective(table, spec, k=k, seed=fold_seed, folds=folds)
 
     best, state = optimize(objective, space, n_init=n_init, n_acquisitions=n_acquisitions, seed=seed)
     return ClassifierSpec(kind, best), state

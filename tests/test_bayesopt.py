@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+import scipy
 from scipy import linalg as sp_linalg
-from scipy.optimize import approx_fprime
+from scipy import optimize as sp_optimize
+from scipy.optimize import _lbfgsb, approx_fprime
 from scipy.stats import norm
 
 from specsiam import bayesopt
@@ -278,6 +280,79 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def scipy_lbfgsb(fun, x0, lower, upper, args=()):
+    """The scipy call that bayesopt._lbfgsb_minimize stands for: final x, f and evaluation count."""
+    res = sp_optimize.minimize(fun, x0, args=args, method="L-BFGS-B", jac=True, bounds=list(zip(lower, upper)))
+    return res.x, res.fun, res.nfev
+
+
+class TestLbfgsbDriver:
+    """The direct L-BFGS-B driver against scipy.optimize.minimize, bit for bit."""
+
+    def assert_same_runs(self, fun, starts, lower, upper, args):
+        for start in starts:
+            x, f, nfev = bayesopt._lbfgsb_minimize(fun, start.copy(), lower, upper, args)
+            want_x, want_f, want_nfev = scipy_lbfgsb(fun, start.copy(), lower, upper, args)
+            assert_same_bits(x, want_x)
+            assert type(f) is type(want_f) and repr(f) == repr(want_f)
+            assert nfev == want_nfev
+
+    def marginal_bounds(self, d, fitted_noise):
+        bounds = [(math.log(0.03), math.log(30.0))] * d + [(math.log(0.01), math.log(100.0))]
+        if fitted_noise:
+            bounds.append((math.log(bayesopt.NOISE_FLOOR), 0.0))
+        return [np.array(b) for b in zip(*bounds)]
+
+    @pytest.mark.parametrize("noise", [None, 1e-4], ids=["fitted-noise", "fixed-noise"])
+    def test_log_marginal_runs_equal_minimize(self, noise):
+        x, y = TestAnalyticGradients().data()
+        y_std = (y - y.mean()) / y.std()
+        lower, upper = self.marginal_bounds(3, noise is None)
+        rng = np.random.default_rng(12)
+        starts = [np.array([math.log(0.3)] * 3 + [0.0] + [math.log(0.1)] * (noise is None))]
+        starts += [rng.uniform(lower, upper) for _ in range(6)]
+        starts.append(lower - 1.0)  # clipped to the lower corner
+        self.assert_same_runs(bayesopt._neg_log_marginal, starts, lower, upper, (x, y_std, noise))
+
+    def test_log_marginal_runs_through_unfactorable_covariances_equal_minimize(self):
+        # A negative fixed noise makes the covariance indefinite wherever the
+        # signal variance is small: those points score 1e9 with a zero gradient.
+        x, y = TestAnalyticGradients().data()
+        y_std = (y - y.mean()) / y.std()
+        lower, upper = self.marginal_bounds(3, False)
+        values = []
+
+        def recorded(params, *args):
+            out = bayesopt._neg_log_marginal(params, *args)
+            values.append(out[0])
+            return out
+
+        rng = np.random.default_rng(13)
+        starts = [np.array([math.log(0.3)] * 3 + [math.log(0.02)])]  # fails at the start
+        starts += [rng.uniform(lower, upper) for _ in range(8)]
+        self.assert_same_runs(recorded, starts, lower, upper, (x, y_std, -0.5))
+        assert 1e9 in values and any(v != 1e9 for v in values)
+
+    def test_ei_runs_on_and_outside_the_faces_equal_minimize(self):
+        x, y = TestAnalyticGradients().data()
+        gp = gp_fit(x, y, seed=1)
+        lower, upper = np.zeros(3), np.ones(3)
+        rng = np.random.default_rng(14)
+        starts = [rng.random(3) for _ in range(6)]
+        starts += [np.array([0.0, 0.4, 1.0]), np.zeros(3), np.ones(3), np.array([1.0, 0.0, 0.7])]  # on faces
+        starts += [np.array([-0.3, 0.5, 1.4]), np.array([2.0, -1.0, 0.2])]  # outside: clipped
+        starts.append(x[int(np.argmax(y))].copy())  # at the best training point
+        for best in (float(y.max()), float(np.median(y))):
+            self.assert_same_runs(bayesopt._neg_ei_and_grad, starts, lower, upper, (gp, best))
+
+    def test_setulb_has_the_verified_signature(self):
+        signature = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+        assert (_lbfgsb.setulb.__doc__ or "").strip().startswith(signature), (
+            f"scipy {scipy.__version__} changed scipy.optimize._lbfgsb.setulb (verified on scipy 1.17.1): "
+            f"{_lbfgsb.setulb.__doc__!r}; bayesopt._lbfgsb_minimize must follow its _minimize_lbfgsb"
+        )
+
+
 class TestDirectLapack:
     """The direct LAPACK helpers against the scipy.linalg wrappers they stand for, bit for bit."""
 
@@ -331,6 +406,29 @@ class TestDirectLapack:
                 ours()
             assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_values_and_queries_raise_the_wrappers_value_error(self):
+        # y_std and the Cholesky factor are checked once per fit and per
+        # posterior, not in every solve; the error is the one scipy.linalg raises.
+        x, y = TestAnalyticGradients().data()
+        message = r"^array must not contain infs or NaNs$"
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=message):
+                gp_fit(x, np.where(np.arange(y.size) == 3, bad, y))
+            with pytest.raises(ValueError, match=message):
+                gp_fit(x[:1], np.array([bad]))  # one point: no hyperparameter search
+        gp = gp_fit(x, y, seed=1)
+        for query in ([np.nan, 0.5, 0.5], [0.2, np.inf, 0.5]):
+            with pytest.raises(ValueError, match=message):
+                gp.predict(np.array(query))
+            with pytest.raises(ValueError, match=message):
+                expected_improvement(gp, np.array(query), float(y.max()))
+        lower = gp.chol_lower.copy()
+        lower[2, 1] = np.nan
+        with pytest.raises(ValueError, match=message):
+            bayesopt.GpPosterior(gp.x_train, gp.lengthscales, gp.signal_var, gp.noise_var,
+                                 gp.y_mean, gp.y_scale, lower, gp.alpha)
+
     def test_not_positive_definite_takes_the_jitter_path(self):
         k = np.ones((3, 3))  # rank one: the bare factorisation fails
         with pytest.raises(sp_linalg.LinAlgError, match="not positive definite"):
@@ -362,11 +460,17 @@ class TestDirectLapack:
 
         direct = run()
         monkeypatch.setattr(bayesopt, "_cholesky", lambda a: sp_linalg.cholesky(a, lower=True))
-        monkeypatch.setattr(bayesopt, "_cho_solve", lambda lower, b: sp_linalg.cho_solve((lower, True), b))
+        monkeypatch.setattr(
+            bayesopt, "_cho_solve",
+            lambda lower, b, check_finite=True: sp_linalg.cho_solve((lower, True), b, check_finite=check_finite),
+        )
         monkeypatch.setattr(
             bayesopt, "_solve_lower",
-            lambda lower, b, trans=0: sp_linalg.solve_triangular(lower, b, lower=True, trans=trans),
+            lambda lower, b, trans=0, check_finite=True: sp_linalg.solve_triangular(
+                lower, b, lower=True, trans=trans, check_finite=check_finite),
         )
+        assert run() == direct
+        monkeypatch.setattr(bayesopt, "_lbfgsb_minimize", scipy_lbfgsb)
         assert run() == direct
 
 

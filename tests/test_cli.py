@@ -410,6 +410,16 @@ class TestConfigFile:
             code, err = run_main(argv + ["--out", str(tmp_path / "out")])
             assert code == 2 and f"{path}: {message}" in err and "Traceback" not in err, argv
 
+    def test_subject_with_both_labels_names_the_file_subject_and_lines(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("subject_id,channel,f_1,label\r\ncase00,0,1.0,case\r\nctrl00,0,0.5,control\r\n"
+                        "case00,1,0.9,control\r\n", encoding="utf-8")
+        for argv in (["tune-clf", "--features", str(path), "--model", "knn", "--init", "1", "--budget", "0"],
+                     ["classify", "--features", str(path), "--model", "knn"]):
+            code, err = run_main(argv + ["--out", str(tmp_path / "out")])
+            assert code == 2 and "Traceback" not in err, argv
+            assert f"{path}: subject 'case00' is labelled 'control' at line 4 but 'case' at line 2" in err, argv
+
     def test_tune_clf_with_every_evaluation_failed_exits_2_after_the_trace(self, synth_dir, tmp_path):
         feats = tmp_path / "feats"
         assert main(["extract", "--manifest", manifest_of(synth_dir), "--fft", "--max-freq-hz", "5",
@@ -543,3 +553,46 @@ def test_fuzzed_checkpoint_exits_0_or_2(fuzz_dir, section, key, value):
                           "--checkpoint", str(ckpt), "--out", str(fuzz_dir / "features")])
     assert code in (0, 2), err
     assert "Traceback" not in err
+
+
+CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+ODD_CELLS = st.sampled_from(["", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "case", "control",
+                             "s0", "0x1", " 1", "1_0", "\"", ","]) | CELL_TEXT
+
+
+@st.composite
+def feature_csvs(draw):
+    """A feature table CSV: well formed, or with a few cells, rows or header fields changed."""
+    n_features = draw(st.integers(0, 3))
+    header = ["subject_id", "channel", *(f"f_{i + 1}" for i in range(n_features)), "label"]
+    labels = draw(st.lists(st.sampled_from(["case", "control"]), min_size=1, max_size=5))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        subject = draw(st.integers(0, len(labels) - 1))
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n_features,
+                               max_size=n_features))
+        rows.append([f"s{subject}", str(draw(st.integers(0, 2))), *map(repr, values), labels[subject]])
+    for _ in range(draw(st.integers(0, 2))):
+        table = draw(st.sampled_from([header] + rows))
+        what = draw(st.sampled_from(["cell", "drop", "append"]))
+        if what == "cell":
+            table[draw(st.integers(0, len(table) - 1))] = draw(ODD_CELLS)
+        elif what == "drop" and table:
+            table.pop()
+        else:
+            table.append(draw(ODD_CELLS))
+    return "\r\n".join(",".join(row) for row in [header, *rows]) + "\r\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=feature_csvs(), model=st.sampled_from(["knn", "nb", "svm", "rf", "xgb"]))
+def test_fuzzed_feature_table_exits_0_or_2(tmp_path_factory, body, model):
+    root = tmp_path_factory.mktemp("table")
+    path = root / "features.csv"
+    path.write_text(body, encoding="utf-8", newline="")
+    for argv in (["tune-clf", "--features", str(path), "--model", model, "--init", "1", "--budget", "1",
+                  "--k", "2"],
+                 ["classify", "--features", str(path), "--model", model, "--predict", str(path)]):
+        code, err = run_main(argv + ["--out", str(root / "out")])
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err

@@ -278,7 +278,55 @@ class TestLoocv:
         assert all(f.clf_params.get("k") in range(2, 9) for f in report.folds)
 
 
+def noisy_table(n_subjects=12, n_channels=2, seed=0):
+    """Overlapping classes, so validation accuracies differ between specs."""
+    rng = np.random.default_rng(seed)
+    sids = [f"s{i:02d}" for i in range(n_subjects) for _ in range(n_channels)]
+    y = np.array([i % 2 for i in range(n_subjects) for _ in range(n_channels)])
+    x = rng.standard_normal((y.size, 4)) + 0.8 * y[:, None]
+    return LabeledFeatures(tuple(sids), tuple(range(n_channels)) * n_subjects, x, y)
+
+
 class TestTuning:
+    def test_tune_classifier_calls_the_module_objective_once_per_evaluation(self, monkeypatch):
+        calls = []
+        original = evaluate.kfold_classifier_objective
+
+        def counted(*args, **kwargs):
+            calls.append(list(kwargs["folds"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "kfold_classifier_objective", counted)
+        _, state = tune_classifier(noisy_table(), ClassifierKind.SVM, n_init=3, n_acquisitions=2, seed=1, k=3)
+        assert len(calls) == len(state.values) == 5
+        assert all(a is b for folds in calls for a, b in zip(folds, calls[0], strict=True))  # built once
+        assert [fit_seed for _, _, fit_seed in calls[0]] == [
+            fit_seed for _, _, fit_seed in evaluate.classifier_folds(noisy_table(), 3, evaluate._derive_seed(1, 23))
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, n_subjects, k",
+        [(ClassifierKind.SVM, 12, 3), (ClassifierKind.KNN, 10, 5), (ClassifierKind.SVM, 3, 5)],
+        ids=["svm", "knn", "too-few-subjects"],
+    )
+    def test_tune_classifier_trace_equals_folds_rebuilt_per_evaluation(self, monkeypatch, kind, n_subjects, k):
+        table = noisy_table(n_subjects)
+
+        def trace():
+            spec, state = tune_classifier(table, kind, n_init=3, n_acquisitions=3, seed=4, k=k)
+            points = [u.tolist() for u in state.unit_points]
+            return spec, state.raw_configs, state.values, points, state.failures, state.gp_hyperparams
+
+        built_once = trace()
+        original = evaluate.kfold_classifier_objective
+        monkeypatch.setattr(
+            evaluate, "kfold_classifier_objective",
+            lambda table, spec, k, seed, folds: original(table, spec, k=k, seed=seed),
+        )
+        assert trace() == built_once
+        if n_subjects < k:  # every evaluation fails as it did when each built its folds
+            assert [f["error"] for f in built_once[4]] == ["cannot make 5 folds from 3 subjects"] * 6
+
     def test_tune_classifier_small_budget(self):
         table = TestKfoldObjectives().perfect_table(10)
         spec, state = tune_classifier(table, ClassifierKind.KNN, n_init=2, n_acquisitions=2, seed=0, k=2)
