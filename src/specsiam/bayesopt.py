@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -64,6 +65,12 @@ def _within(value: float, u: float, low: float, high: float) -> float:
     return min(max(value, low), high)
 
 
+def _check_range(dim, value, owner: str) -> None:
+    """DataError unless value is a number (not a bool) in [dim.low, dim.high]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not dim.low <= value <= dim.high:
+        raise DataError(f"{owner} {dim.name} must lie in ({dim.low}, {dim.high}), got {value!r}")
+
+
 @dataclass(frozen=True)
 class Continuous:
     name: str
@@ -80,6 +87,8 @@ class Continuous:
     def from_unit(self, u: float) -> float:
         u = min(max(float(u), 0.0), 1.0)
         return _within(self.low + u * (self.high - self.low), u, self.low, self.high)
+
+    check = _check_range
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,8 @@ class LogContinuous:
         u = min(max(float(u), 0.0), 1.0)
         value = math.exp(math.log(self.low) + u * (math.log(self.high) - math.log(self.low)))
         return _within(value, u, self.low, self.high)
+
+    check = _check_range
 
 
 @dataclass(frozen=True)
@@ -137,6 +148,13 @@ class Discrete:
             return values[0]
         u = min(max(float(u), 0.0), 1.0)
         return values[int(round(u * (len(values) - 1)))]
+
+    def check(self, value, owner: str) -> None:
+        """DataError unless value is one of the listed values, an integer where they are (never a bool)."""
+        wrong_type = isinstance(value, bool) or (
+            isinstance(self.values[0], int) and not isinstance(value, numbers.Integral))
+        if wrong_type or value not in self.values:
+            raise DataError(f"{owner} {self.name} must be in {self.values}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bayesopt import Continuous, Discrete, LogContinuous, SearchSpace
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .signals import Label
 
 __all__ = [
@@ -31,11 +31,9 @@ __all__ = [
     "RandomForestClassifier",
     "GradientBoostingClassifier",
     "fit",
-    "predict",
     "default_spec",
     "classifier_search_space",
     "model_to_dict",
-    "model_from_dict",
 ]
 
 
@@ -164,99 +162,58 @@ class ClassifierKind(Enum):
     XGB = "xgb"
 
 
-KNN_K_VALUES = (2, 3, 4, 5, 6, 7, 8)
 SVM_KERNELS = ("linear", "rbf")
-SVM_C_RANGE = (0.5, 5.0)
-SVM_GAMMA_RANGE = (1e-5, 1.0)
-RF_ESTIMATOR_VALUES = (5, 10, 15, 20, 25)
-XGB_DEPTH_VALUES = (3, 4, 5, 6, 7)
-XGB_LEARNING_RATE_RANGE = (0.001, 0.1)
-XGB_ESTIMATOR_VALUES = (10, 50, 100, 200)
 
 NB_VARIANCE_FLOOR = 1e-9
+
+# The one definition of each classifier's hyperparameters: the tuning domain,
+# which also bounds the values a spec accepts and names the CLI flags, and the
+# values an untuned classifier runs with. Naive Bayes has nothing to tune.
+_SEARCH_SPACES = {
+    ClassifierKind.KNN: SearchSpace((Discrete("k", (2, 3, 4, 5, 6, 7, 8)),)),
+    ClassifierKind.NB: SearchSpace(()),
+    ClassifierKind.SVM: SearchSpace((Discrete("kernel", SVM_KERNELS), Continuous("c", 0.5, 5.0),
+                                     LogContinuous("gamma", 1e-5, 1.0))),
+    ClassifierKind.RF: SearchSpace((Discrete("n_estimators", (5, 10, 15, 20, 25)),)),
+    ClassifierKind.XGB: SearchSpace((Discrete("max_depth", (3, 4, 5, 6, 7)),
+                                     LogContinuous("learning_rate", 0.001, 0.1),
+                                     Discrete("n_estimators", (10, 50, 100, 200)))),
+}
+_DEFAULT_PARAMS = {
+    ClassifierKind.KNN: {"k": 3},
+    ClassifierKind.NB: {},
+    ClassifierKind.SVM: {"kernel": "linear", "c": 1.0, "gamma": 0.1},
+    ClassifierKind.RF: {"n_estimators": 10},
+    ClassifierKind.XGB: {"max_depth": 3, "learning_rate": 0.1, "n_estimators": 50},
+}
+
+
+def classifier_search_space(kind: ClassifierKind) -> SearchSpace:
+    """The tuning domain of a classifier kind, which also bounds its specs."""
+    if kind not in _SEARCH_SPACES:
+        raise DataError(f"unknown classifier kind {kind}")
+    return _SEARCH_SPACES[kind]
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
-    """A classifier kind plus hyperparameters constrained to the search domains."""
+    """A classifier kind plus one value in each dimension of its search space."""
 
     kind: ClassifierKind
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         p = dict(self.params)
-        kind = self.kind
-        if kind is ClassifierKind.KNN:
-            self._expect_keys(p, {"k"})
-            if p["k"] not in KNN_K_VALUES:
-                raise DataError(f"knn k must be in {KNN_K_VALUES}, got {p['k']}")
-        elif kind is ClassifierKind.NB:
-            self._expect_keys(p, set())
-        elif kind is ClassifierKind.SVM:
-            self._expect_keys(p, {"kernel", "c", "gamma"})
-            if p["kernel"] not in SVM_KERNELS:
-                raise DataError(f"svm kernel must be one of {SVM_KERNELS}")
-            if not (SVM_C_RANGE[0] <= p["c"] <= SVM_C_RANGE[1]):
-                raise DataError(f"svm c must lie in {SVM_C_RANGE}")
-            if not (SVM_GAMMA_RANGE[0] <= p["gamma"] <= SVM_GAMMA_RANGE[1]):
-                raise DataError(f"svm gamma must lie in {SVM_GAMMA_RANGE}")
-        elif kind is ClassifierKind.RF:
-            self._expect_keys(p, {"n_estimators"})
-            if p["n_estimators"] not in RF_ESTIMATOR_VALUES:
-                raise DataError(f"rf n_estimators must be in {RF_ESTIMATOR_VALUES}")
-        elif kind is ClassifierKind.XGB:
-            self._expect_keys(p, {"max_depth", "learning_rate", "n_estimators"})
-            if p["max_depth"] not in XGB_DEPTH_VALUES:
-                raise DataError(f"xgb max_depth must be in {XGB_DEPTH_VALUES}")
-            lo, hi = XGB_LEARNING_RATE_RANGE
-            if not (lo <= p["learning_rate"] <= hi):
-                raise DataError(f"xgb learning_rate must lie in {XGB_LEARNING_RATE_RANGE}")
-            if p["n_estimators"] not in XGB_ESTIMATOR_VALUES:
-                raise DataError(f"xgb n_estimators must be in {XGB_ESTIMATOR_VALUES}")
+        space = classifier_search_space(self.kind)
+        if set(p) != set(space.names):
+            raise DataError(f"expected hyperparameters {sorted(space.names)}, got {sorted(p)}")
+        for dim in space.dims:
+            dim.check(p[dim.name], self.kind.value)
         object.__setattr__(self, "params", p)
-
-    @staticmethod
-    def _expect_keys(params: dict, expected: set):
-        if set(params) != expected:
-            raise DataError(f"expected hyperparameters {sorted(expected)}, got {sorted(params)}")
 
 
 def default_spec(kind: ClassifierKind) -> ClassifierSpec:
-    defaults = {
-        ClassifierKind.KNN: {"k": 3},
-        ClassifierKind.NB: {},
-        ClassifierKind.SVM: {"kernel": "linear", "c": 1.0, "gamma": 0.1},
-        ClassifierKind.RF: {"n_estimators": 10},
-        ClassifierKind.XGB: {"max_depth": 3, "learning_rate": 0.1, "n_estimators": 50},
-    }
-    return ClassifierSpec(kind, defaults[kind])
-
-
-def classifier_search_space(kind: ClassifierKind) -> SearchSpace:
-    """The tuning domain of each classifier; naive Bayes has nothing to tune."""
-    if kind is ClassifierKind.KNN:
-        return SearchSpace((Discrete("k", KNN_K_VALUES),))
-    if kind is ClassifierKind.NB:
-        return SearchSpace(())
-    if kind is ClassifierKind.SVM:
-        return SearchSpace(
-            (
-                Discrete("kernel", SVM_KERNELS),
-                Continuous("c", *SVM_C_RANGE),
-                LogContinuous("gamma", *SVM_GAMMA_RANGE),
-            )
-        )
-    if kind is ClassifierKind.RF:
-        return SearchSpace((Discrete("n_estimators", RF_ESTIMATOR_VALUES),))
-    if kind is ClassifierKind.XGB:
-        return SearchSpace(
-            (
-                Discrete("max_depth", XGB_DEPTH_VALUES),
-                LogContinuous("learning_rate", *XGB_LEARNING_RATE_RANGE),
-                Discrete("n_estimators", XGB_ESTIMATOR_VALUES),
-            )
-        )
-    raise DataError(f"unknown classifier kind {kind}")
+    return ClassifierSpec(kind, _DEFAULT_PARAMS[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +383,7 @@ class KnnClassifier:
     def predict(self, x):
         x = _check_features(x, self.x_train.shape[1])
         d2 = ((x[:, None, :] - self.x_train[None, :, :]) ** 2).sum(axis=2)
+        _require_finite(d2, "knn: distance")
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes_case = (self.y_train[order] == 1).sum(axis=1)
         return (2 * votes_case >= self.k).astype(np.int64)
@@ -463,6 +421,7 @@ class GaussianNbClassifier:
     def predict(self, x):
         x = _check_features(x, self.means.shape[1])
         post = self._log_posterior(x)
+        _require_finite(post, "nb: log posterior")
         return (post[:, 1] >= post[:, 0]).astype(np.int64)
 
 
@@ -488,13 +447,13 @@ class SmoSvmClassifier:
 
     def _gram(self, xa, xb):
         if self.kernel == "linear":
-            return xa @ xb.T
+            return _require_finite(xa @ xb.T, "svm: linear kernel")
         d2 = (
             (xa * xa).sum(axis=1)[:, None]
             + (xb * xb).sum(axis=1)[None, :]
             - 2.0 * (xa @ xb.T)
         )
-        return np.exp(-self.gamma * np.maximum(d2, 0.0))
+        return _require_finite(np.exp(-self.gamma * np.maximum(d2, 0.0)), "svm: rbf kernel")
 
     def fit(self, x, y):
         x, y = _check_training(x, y, require_both_classes=True)
@@ -547,7 +506,7 @@ class SmoSvmClassifier:
     def decision_function(self, x):
         x = _check_features(x, self.x_train.shape[1])
         k = self._gram(self.x_train, x)
-        return (self.alphas * self.s_train) @ k + self.b
+        return _require_finite((self.alphas * self.s_train) @ k + self.b, "svm: decision")
 
     def predict(self, x):
         return (self.decision_function(x) >= 0.0).astype(np.int64)
@@ -653,6 +612,13 @@ def _check_training(x, y, require_both_classes: bool):
     return x, y
 
 
+def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or NumericalError when one overflowed (features of huge magnitude)."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} value is not finite; feature magnitudes are too large")
+    return values
+
+
 def _check_features(x, n_features):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -662,31 +628,19 @@ def _check_features(x, n_features):
     return x
 
 
+_MODEL_CLASSES = {
+    ClassifierKind.KNN: KnnClassifier,
+    ClassifierKind.NB: GaussianNbClassifier,
+    ClassifierKind.SVM: SmoSvmClassifier,
+    ClassifierKind.RF: RandomForestClassifier,
+    ClassifierKind.XGB: GradientBoostingClassifier,
+}
+
+
 def fit(spec: ClassifierSpec, train: LabeledFeatures, seed: int = 0):
-    """Train a classifier of the given spec on the feature table."""
-    p = spec.params
-    if spec.kind is ClassifierKind.KNN:
-        model = KnnClassifier(k=p["k"])
-    elif spec.kind is ClassifierKind.NB:
-        model = GaussianNbClassifier()
-    elif spec.kind is ClassifierKind.SVM:
-        model = SmoSvmClassifier(kernel=p["kernel"], c=p["c"], gamma=p["gamma"], seed=seed)
-    elif spec.kind is ClassifierKind.RF:
-        model = RandomForestClassifier(n_estimators=p["n_estimators"], seed=seed)
-    elif spec.kind is ClassifierKind.XGB:
-        model = GradientBoostingClassifier(
-            n_estimators=p["n_estimators"],
-            max_depth=p["max_depth"],
-            learning_rate=p["learning_rate"],
-            seed=seed,
-        )
-    else:
-        raise DataError(f"unknown classifier kind {spec.kind}")
-    return model.fit(train.x, train.y)
-
-
-def predict(model, x) -> np.ndarray:
-    return model.predict(x)
+    """Train a classifier of the given spec on the feature table; its params are the model's keywords."""
+    seeded = {} if spec.kind in (ClassifierKind.KNN, ClassifierKind.NB) else {"seed": seed}
+    return _MODEL_CLASSES[spec.kind](**spec.params, **seeded).fit(train.x, train.y)
 
 
 # ---------------------------------------------------------------------------
@@ -739,44 +693,3 @@ def model_to_dict(model) -> dict:
             "trees": model.trees,
         }
     raise DataError(f"cannot serialize model of type {type(model).__name__}")
-
-
-def model_from_dict(payload: dict):
-    kind = payload.get("model")
-    if kind == "knn":
-        model = KnnClassifier(k=payload["k"])
-        model.x_train = np.asarray(payload["x"], dtype=np.float64)
-        model.y_train = np.asarray(payload["y"], dtype=np.int64)
-        return model
-    if kind == "nb":
-        model = GaussianNbClassifier()
-        model.priors = np.asarray(payload["priors"])
-        model.means = np.asarray(payload["means"])
-        model.variances = np.asarray(payload["variances"])
-        return model
-    if kind == "svm":
-        model = SmoSvmClassifier(kernel=payload["kernel"], c=payload["c"], gamma=payload["gamma"])
-        model.x_train = np.asarray(payload["x"], dtype=np.float64)
-        model.s_train = np.asarray(payload["s"], dtype=np.float64)
-        model.alphas = np.asarray(payload["alphas"], dtype=np.float64)
-        model.b = float(payload["b"])
-        return model
-    if kind == "rf":
-        model = RandomForestClassifier(
-            n_estimators=payload["n_estimators"], max_depth=payload["max_depth"], seed=payload["seed"]
-        )
-        model.n_features_ = payload["n_features"]
-        model.trees = payload["trees"]
-        return model
-    if kind == "xgb":
-        model = GradientBoostingClassifier(
-            n_estimators=payload["n_estimators"],
-            max_depth=payload["max_depth"],
-            learning_rate=payload["learning_rate"],
-            seed=payload["seed"],
-        )
-        model.n_features_ = payload["n_features"]
-        model.f0 = float(payload["f0"])
-        model.trees = payload["trees"]
-        return model
-    raise DataError(f"unknown serialized model kind {kind!r}")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import classify as classify_mod
 from . import evaluate
-from .bayesopt import write_trace_csv
+from .bayesopt import Discrete, write_trace_csv
 from .classify import ClassifierKind, ClassifierSpec, LabeledFeatures
 from .errors import DataError, NumericalError
 from .evaluate import MetricsReport, PipelineConfig, write_json
@@ -132,36 +132,42 @@ def _add_config_flags(parser, *classes) -> None:
                                 type=str if choices else kind, choices=choices)
 
 
+def _clf_flags(kind: ClassifierKind):
+    """(flag, dest, dimension) of the --<model>-<param> flag of each dimension of kind's search space."""
+    return [(f"--{kind.value}-{dim.name.replace('_', '-')}", f"{kind.value}_{dim.name}", dim)
+            for dim in classify_mod.classifier_search_space(kind).dims]
+
+
 def _add_clf_flags(parser) -> None:
-    parser.add_argument("--knn-k", dest="knn_k", type=int)
-    parser.add_argument("--svm-kernel", dest="svm_kernel", choices=["linear", "rbf"])
-    parser.add_argument("--svm-c", dest="svm_c", type=float)
-    parser.add_argument("--svm-gamma", dest="svm_gamma", type=float)
-    parser.add_argument("--rf-estimators", dest="rf_estimators", type=int)
-    parser.add_argument("--xgb-depth", dest="xgb_depth", type=int)
-    parser.add_argument("--xgb-learning-rate", dest="xgb_learning_rate", type=float)
-    parser.add_argument("--xgb-estimators", dest="xgb_estimators", type=int)
+    """The --<model>-<param> flags of every classifier; string-valued dimensions keep their choices."""
+    for kind in ClassifierKind:
+        for flag, dest, dim in _clf_flags(kind):
+            value_type = type(dim.values[0]) if isinstance(dim, Discrete) else float
+            parser.add_argument(flag, dest=dest, type=value_type,
+                                choices=dim.values if value_type is str else None)
 
 
-def _clf_params_from_args(args, kind: ClassifierKind) -> dict | None:
-    base = dict(classify_mod.default_spec(kind).params)
-    overrides = {
-        ClassifierKind.KNN: {"k": args.knn_k},
-        ClassifierKind.NB: {},
-        ClassifierKind.SVM: {"kernel": args.svm_kernel, "c": args.svm_c, "gamma": args.svm_gamma},
-        ClassifierKind.RF: {"n_estimators": args.rf_estimators},
-        ClassifierKind.XGB: {
-            "max_depth": args.xgb_depth,
-            "learning_rate": args.xgb_learning_rate,
-            "n_estimators": args.xgb_estimators,
-        },
-    }[kind]
-    touched = False
-    for key, value in overrides.items():
-        if value is not None:
-            base[key] = value
-            touched = True
-    return base if touched else None
+def _clf_params_from_args(args, kind: ClassifierKind, tuned: bool) -> dict | None:
+    """The defaults of kind with the values of its flags, or None if none is passed. A flag of
+    another kind, any flag while the classifier is tuned, and a value that the kind's search
+    space rejects are each a DataError naming the flag."""
+    passed = {}
+    for other in ClassifierKind:
+        for flag, dest, dim in _clf_flags(other):
+            value = getattr(args, dest)
+            if value is None:
+                continue
+            if other is not kind:
+                raise DataError(f"flag {flag}: the classifier is {kind.value}, not {other.value}")
+            if tuned:
+                raise DataError(f"flag {flag}: the classifier is tuned, so flags cannot set its "
+                                "hyperparameters (loocv tunes with --clf-init and --clf-acq, run unless --no-tune)")
+            try:
+                dim.check(value, kind.value)
+            except DataError as exc:
+                raise DataError(f"flag {flag}: {exc}") from None
+            passed[dim.name] = value
+    return {**classify_mod.default_spec(kind).params, **passed} if passed else None
 
 
 def build_parser() -> _Parser:
@@ -458,15 +464,15 @@ def _cmd_classify(args) -> int:
     out = _out_dir(args)
     table = LabeledFeatures.from_csv(args.features)
     kind = ClassifierKind(args.model)
-    params = _clf_params_from_args(args, kind)
-    spec = ClassifierSpec(kind, params if params is not None else classify_mod.default_spec(kind).params)
+    params = _clf_params_from_args(args, kind, tuned=False)
+    spec = ClassifierSpec(kind, params) if params else classify_mod.default_spec(kind)
     model = classify_mod.fit(spec, table, seed=args.seed)
     payload = {"spec": {"model": kind.value, "params": spec.params}, "fitted": classify_mod.model_to_dict(model)}
     write_json(out / "model.json", payload)
     resolved = {"features": str(args.features), "model": kind.value, "params": spec.params, "seed": args.seed}
     if args.predict:
         target = LabeledFeatures.from_csv(args.predict)
-        preds = classify_mod.predict(model, target.x)
+        preds = model.predict(target.x)
         with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["subject_id", "channel", "prediction"])
@@ -484,10 +490,13 @@ def _cmd_classify(args) -> int:
 def _pipeline_config_from_args(args) -> PipelineConfig:
     _, (stft, net) = _resolve_configs(args, StftConfig, NetConfig)
     _, clf_kind = evaluate.parse_pipeline(args.pipeline)
-    clf_params = _clf_params_from_args(args, clf_kind)
-    clf_budget = None
-    if getattr(args, "clf_init", None) is not None and getattr(args, "clf_acq", None) is not None:
-        clf_budget = (args.clf_init, args.clf_acq)
+    clf_budget = None if getattr(args, "no_tune", False) else (args.clf_init, args.clf_acq)
+    if clf_budget is not None and None in clf_budget:  # loocv tunes only with both flags
+        if clf_budget != (None, None):
+            given, missing = ("init", "acq") if args.clf_acq is None else ("acq", "init")
+            raise DataError(f"flag --clf-{given}: tuning the classifier needs --clf-{missing} too")
+        clf_budget = None
+    clf_params = _clf_params_from_args(args, clf_kind, tuned=clf_budget is not None)
     return PipelineConfig(
         stft=stft,
         net=net,
@@ -525,9 +534,7 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     dataset = load_dataset(args.manifest)
     config = _pipeline_config_from_args(args)
-    if args.no_tune:
-        config = replace(config, snn_budget=None, clf_budget=None)
-    else:
+    if not args.no_tune:
         config = replace(config, snn_budget=(args.snn_init, args.snn_acq))
     _log(f"run: {args.pipeline} (mode={config.mode}, tuning={'off' if args.no_tune else 'on'})")
     report, artifacts = evaluate.run_pipeline(

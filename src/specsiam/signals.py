@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -188,6 +189,15 @@ def read_manifest(manifest_path: str | Path) -> list[dict]:
             if key not in entry:
                 raise DataError(f"manifest {path}: entry missing '{key}': {entry}")
         sid = entry["subject_id"]
+        rate = entry["sample_rate_hz"]
+        for key, ok, what in (
+            ("subject_id", isinstance(sid, str), "a string"),
+            ("path", isinstance(entry["path"], str), "a string"),
+            ("sample_rate_hz", isinstance(rate, (int, float)) and not isinstance(rate, bool)
+             and 0 < rate <= sys.float_info.max, "a finite positive number"),
+        ):
+            if not ok:
+                raise DataError(f"manifest {path}: subject {sid!r}: '{key}' must be {what}, got {entry[key]!r}")
         if sid in seen:
             raise DataError(f"duplicated subject_id '{sid}' in manifest")
         seen.add(sid)

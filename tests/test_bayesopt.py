@@ -140,6 +140,17 @@ class TestSpaceMappings:
         with pytest.raises(DataError):
             Discrete("x", (3, 2))
 
+    def test_check_accepts_the_domain_and_never_a_bool(self):
+        binary = Discrete("b", (0, 1))
+        binary.check(1, "owner")
+        for dim, bad in ((binary, True), (binary, False), (binary, 2), (binary, 1.0),
+                         (Continuous("c", 0.0, 1.0), True), (LogContinuous("g", 1e-3, 1.0), np.nan),
+                         (LogContinuous("g", 1e-3, 1.0), "0.1")):
+            with pytest.raises(DataError, match=f"^owner {dim.name} must (be in|lie in)"):
+                dim.check(bad, "owner")
+        Continuous("c", 0.0, 1.0).check(np.float64(1.0), "owner")
+        LogContinuous("g", 1e-3, 1.0).check(np.float32(0.5), "owner")
+
     @given(u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
     @settings(max_examples=50, deadline=None)
     def test_space_round_trip_property(self, u):

@@ -18,11 +18,9 @@ from specsiam.classify import (
     classifier_search_space,
     default_spec,
     fit,
-    model_from_dict,
     model_to_dict,
-    predict,
 )
-from specsiam.errors import DataError
+from specsiam.errors import DataError, NumericalError
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +435,46 @@ class TestSpecAndFactory:
         with pytest.raises(DataError):
             ClassifierSpec(kind, params)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"kernel": "linear", "c": 99.0, "gamma": 0.1}, "svm c must lie in (0.5, 5.0), got 99.0"),
+            ({"kernel": "linear", "c": "abc", "gamma": 0.1}, "svm c must lie in (0.5, 5.0), got 'abc'"),
+            ({"kernel": "linear", "c": None, "gamma": 0.1}, "svm c must lie in (0.5, 5.0), got None"),
+            ({"kernel": "linear", "c": True, "gamma": 0.1}, "svm c must lie in (0.5, 5.0), got True"),
+            ({"kernel": "linear", "c": float("nan"), "gamma": 0.1}, "svm c must lie in (0.5, 5.0), got nan"),
+            ({"kernel": "linear", "c": 1.0, "gamma": [0.1]}, "svm gamma must lie in (1e-05, 1.0), got [0.1]"),
+            ({"kernel": "poly", "c": 1.0, "gamma": 0.1}, "svm kernel must be in ('linear', 'rbf'), got 'poly'"),
+            ({"kernel": "linear", "c": 1.0},
+             "expected hyperparameters ['c', 'gamma', 'kernel'], got ['c', 'kernel']"),
+        ],
+        ids=["range", "text", "none", "bool", "nan", "list", "choice", "missing-key"],
+    )
+    def test_rejection_names_kind_dimension_and_value(self, params, message):
+        with pytest.raises(DataError) as info:
+            ClassifierSpec(ClassifierKind.SVM, params)
+        assert str(info.value) == message
+
+    def test_discrete_rejects_bools_and_unlisted_values_cleanly(self):
+        for value in (True, "3", 3.0, 3.5, None, (3,)):
+            with pytest.raises(DataError, match=r"^knn k must be in \(2, 3, 4, 5, 6, 7, 8\), got "):
+                ClassifierSpec(ClassifierKind.KNN, {"k": value})
+
+    def test_numpy_numbers_and_range_edges_are_accepted(self):
+        spec = ClassifierSpec(ClassifierKind.SVM, {"kernel": "rbf", "c": np.float64(0.5), "gamma": 1.0})
+        assert spec.params["c"] == 0.5
+        ClassifierSpec(ClassifierKind.XGB,
+                       {"max_depth": np.int64(7), "learning_rate": 0.001, "n_estimators": 200})
+        ClassifierSpec(ClassifierKind.SVM, {"kernel": "linear", "c": 5, "gamma": 1e-5})
+
+    def test_every_search_space_value_makes_a_spec(self):
+        rng = np.random.default_rng(3)
+        for kind in ClassifierKind:
+            space = classifier_search_space(kind)
+            for u in [np.zeros(space.n_dims), np.ones(space.n_dims), *rng.random((20, space.n_dims))]:
+                ClassifierSpec(kind, space.from_unit(u))
+            assert set(default_spec(kind).params) == set(space.names)
+
     def test_search_spaces_cover_domains(self):
         knn = classifier_search_space(ClassifierKind.KNN)
         assert knn.dims[0].values == (2, 3, 4, 5, 6, 7, 8)
@@ -451,20 +489,25 @@ class TestSpecAndFactory:
         assert xgb.dims[2].values == (10, 50, 100, 200)
         assert classifier_search_space(ClassifierKind.NB).n_dims == 0
 
-    def test_factory_round_trip_all_kinds(self):
+    def test_factory_fits_and_serializes_all_kinds(self):
         rng = np.random.default_rng(13)
         x = rng.random((12, 3))
         y = np.array([0, 1] * 6)
         table = LabeledFeatures(
             tuple(f"s{i}" for i in range(12)), tuple([0] * 12), x, y
         )
+        classes = {ClassifierKind.KNN: KnnClassifier, ClassifierKind.NB: GaussianNbClassifier,
+                   ClassifierKind.SVM: SmoSvmClassifier, ClassifierKind.RF: RandomForestClassifier,
+                   ClassifierKind.XGB: GradientBoostingClassifier}
         for kind in ClassifierKind:
-            model = fit(default_spec(kind), table, seed=1)
-            preds = predict(model, x)
-            assert preds.shape == (12,)
+            spec = default_spec(kind)
+            model = fit(spec, table, seed=1)
+            assert type(model) is classes[kind]
+            assert {name: getattr(model, name) for name in spec.params} == spec.params
+            assert getattr(model, "seed", 1) == 1
+            assert model.predict(x).shape == (12,)
             payload = json.loads(json.dumps(model_to_dict(model)))
-            clone = model_from_dict(payload)
-            np.testing.assert_array_equal(predict(clone, x), preds)
+            assert payload["model"] == kind.value
 
     def test_dimension_mismatch_rejected(self):
         x = np.random.default_rng(0).random((6, 2))
@@ -472,6 +515,34 @@ class TestSpecAndFactory:
         model = KnnClassifier(k=1).fit(x, y)
         with pytest.raises(DataError, match="dimension"):
             model.predict(np.zeros((2, 5)))
+
+
+class TestOverflowedFeatures:
+    """Features of about 1e200 overflow squared distances, kernels and log densities."""
+
+    X = np.array([[1e200, -3e200], [2e200, 1e200], [-1e200, 2e200], [3e200, -1e200]])
+    Y = np.array([1, 1, 0, 0])
+
+    @pytest.mark.parametrize(
+        "model, what",
+        [(KnnClassifier(k=3), "knn: distance"), (GaussianNbClassifier(), "nb: log posterior"),
+         (SmoSvmClassifier(kernel="rbf", gamma=0.1), "svm: rbf kernel"),
+         (SmoSvmClassifier(kernel="linear"), "svm: linear kernel")],
+        ids=["knn", "nb", "svm-rbf", "svm-linear"],
+    )
+    def test_fit_or_predict_raises_numerical_error_naming_the_classifier(self, model, what):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"^{what} value is not finite"):
+            model.fit(self.X, self.Y).predict(self.X)
+
+    def test_non_finite_svm_decision_value_is_a_numerical_error(self):
+        model = SmoSvmClassifier(kernel="linear").fit(np.array([[0.0], [1.0], [2.0], [3.0]]), self.Y)
+        model.alphas = np.full(4, 1e308)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="^svm: decision value"):
+            model.predict(np.array([[3.0]]))
+
+    def test_trees_still_fit_and_predict(self):
+        for model in (RandomForestClassifier(n_estimators=3), GradientBoostingClassifier(n_estimators=3)):
+            assert model.fit(self.X, self.Y).predict(self.X).shape == (4,)
 
 
 class TestLabeledFeatures:

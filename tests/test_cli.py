@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specsiam.cli import build_parser, main
-from specsiam.classify import LabeledFeatures
+from specsiam.classify import ClassifierKind, LabeledFeatures, classifier_search_space
 from specsiam.siamese import NetConfig, init_model, save_checkpoint
 from specsiam.spectral import StftConfig
 
@@ -316,6 +316,140 @@ def run_main(argv):
     return code, err.getvalue()
 
 
+class TestClassifierFlags:
+    @pytest.mark.parametrize("command", ["classify", "loocv", "run"])
+    def test_one_flag_per_search_space_dimension(self, command):
+        actions = subcommand(command)._actions
+        expected = {f"{kind.value}_{name}": f"--{kind.value}-{name.replace('_', '-')}"
+                    for kind in ClassifierKind for name in classifier_search_space(kind).names}
+        assert len(expected) == 8
+        models = {kind.value for kind in ClassifierKind}
+        flags = {a.dest: a.option_strings for a in actions if a.dest.split("_")[0] in models}
+        assert flags == {dest: [flag] for dest, flag in expected.items()}
+        assert {"--rf-n-estimators", "--xgb-max-depth", "--xgb-n-estimators"} <= set(expected.values())
+        kernel = next(a for a in actions if a.dest == "svm_kernel")
+        assert tuple(kernel.choices) == ("linear", "rbf")
+
+    @pytest.mark.parametrize("flag", ["--rf-estimators", "--xgb-depth", "--xgb-estimators"])
+    def test_old_spellings_are_usage_errors(self, tmp_path, flag):
+        assert main(["classify", "--features", str(tmp_path / "f.csv"), "--model", "rf", flag, "10"]) == 1
+
+    def test_string_choice_outside_the_space_is_usage_error(self, tmp_path):
+        assert main(["classify", "--features", str(tmp_path / "f.csv"), "--model", "svm",
+                     "--svm-kernel", "poly"]) == 1
+
+    @pytest.fixture()
+    def table(self, synth_dir, tmp_path):
+        assert main(["extract", "--manifest", manifest_of(synth_dir), "--fft", "--max-freq-hz", "5",
+                     "--out", str(tmp_path / "feats")]) == 0
+        return str(tmp_path / "feats" / "features.csv")
+
+    @pytest.mark.parametrize(
+        "model, flags, message",
+        [("svm", ["--svm-c", "99"], "flag --svm-c: svm c must lie in (0.5, 5.0), got 99.0"),
+         ("svm", ["--svm-gamma", "0"], "flag --svm-gamma: svm gamma must lie in (1e-05, 1.0), got 0.0"),
+         ("knn", ["--knn-k", "9"], "flag --knn-k: knn k must be in (2, 3, 4, 5, 6, 7, 8), got 9"),
+         ("rf", ["--rf-n-estimators", "7"], "flag --rf-n-estimators: rf n_estimators must be in (5, 10, 15, 20"),
+         ("xgb", ["--xgb-n-estimators", "50", "--xgb-max-depth", "99"], "flag --xgb-max-depth: xgb max_depth"),
+         ("xgb", ["--xgb-learning-rate", "nan"], "flag --xgb-learning-rate: xgb learning_rate must lie in"),
+         ("knn", ["--xgb-max-depth", "99"], "flag --xgb-max-depth: the classifier is knn, not xgb"),
+         ("nb", ["--knn-k", "3"], "flag --knn-k: the classifier is nb, not knn")],
+        ids=["svm-c", "svm-gamma", "knn-k", "rf", "xgb-depth", "xgb-nan-rate", "other-kind", "nb"],
+    )
+    def test_classify_rejects_a_flag_by_name(self, table, tmp_path, model, flags, message):
+        code, err = run_main(["classify", "--features", table, "--model", model, *flags,
+                              "--out", str(tmp_path / "out")])
+        assert code == 2 and message in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["loocv", "--pipeline", "FFT-NB", "--knn-k", "3", "--svm-c", "99"],
+          "flag --knn-k: the classifier is nb, not knn"),
+         (["run", "--pipeline", "FFT-SVM", "--no-tune", "--rf-n-estimators", "10"],
+          "flag --rf-n-estimators: the classifier is svm, not rf"),
+         (["run", "--pipeline", "FFT-kNN", "--knn-k", "7", "--clf-init", "2", "--clf-acq", "1"],
+          "flag --knn-k: the classifier is tuned"),
+         (["run", "--pipeline", "FFT-SVM", "--svm-kernel", "rbf"], "flag --svm-kernel: the classifier is tuned"),
+         (["loocv", "--pipeline", "FFT-kNN", "--clf-init", "2", "--clf-acq", "1", "--knn-k", "7"],
+          "flag --knn-k: the classifier is tuned"),
+         (["loocv", "--pipeline", "FFT-kNN", "--clf-init", "2"], "flag --clf-init: tuning the classifier needs"),
+         (["loocv", "--pipeline", "FFT-kNN", "--clf-acq", "1"], "flag --clf-acq: tuning the classifier needs"),
+         (["loocv", "--pipeline", "FFT-SVM", "--svm-c", "99"], "flag --svm-c: svm c must lie in (0.5, 5.0), got 99"),
+         (["run", "--pipeline", "FFT-kNN", "--no-tune", "--knn-k", "1"], "flag --knn-k: knn k must be in")],
+        ids=["loocv-other-kind", "run-other-kind", "run-tuned", "run-tuned-by-default", "loocv-tuned",
+             "init-without-acq", "acq-without-init", "loocv-out-of-range", "run-out-of-range"],
+    )
+    def test_pipeline_commands_reject_a_flag_by_name(self, synth_dir, tmp_path, argv, message):
+        out = tmp_path / "out"
+        code, err = run_main([*argv, "--manifest", manifest_of(synth_dir), "--out", str(out)])
+        assert code == 2 and message in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    def test_flags_of_the_pipeline_kind_reach_every_fold(self, synth_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["loocv", "--manifest", manifest_of(synth_dir), "--pipeline", "FFT-XGB",
+                     "--xgb-n-estimators", "10", "--xgb-max-depth", "4", "--out", str(out)]) == 0
+        folds = json.loads((out / "report.json").read_text())["folds"]
+        params = {"max_depth": 4, "learning_rate": 0.1, "n_estimators": 10}
+        assert [f["clf_params"] for f in folds] == [params] * 8
+
+
+HUGE_TABLE = ("subject_id,channel,f_1,f_2,label\r\n" "a,0,1e200,-3e200,case\r\n" "b,0,2e200,1e200,case\r\n"
+              "c,0,-1e200,2e200,control\r\n" "d,0,3e200,-1e200,control\r\n")
+
+
+class TestOverflowedFeatures:
+    @pytest.mark.parametrize("model, flags, what",
+                             [("knn", [], "knn: distance"), ("nb", [], "nb: log posterior"),
+                              ("svm", ["--svm-kernel", "rbf"], "svm: rbf kernel"),
+                              ("svm", [], "svm: linear kernel")])
+    def test_classify_predict_exits_3_naming_the_classifier(self, tmp_path, model, flags, what):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE_TABLE, encoding="utf-8")
+        code, err = run_main(["classify", "--features", str(path), "--model", model, "--predict", str(path),
+                              *flags, "--out", str(tmp_path / "out")])
+        assert code == 3 and "Traceback" not in err
+        assert f"numerical failure [classify]: {what} value is not finite" in err
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("model, evaluations", [("nb", 1), ("svm", 3)])  # nb has no dimension to vary
+    def test_tuning_records_each_overflow_as_a_failure(self, tmp_path, model, evaluations):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE_TABLE, encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run_main(["tune-clf", "--features", str(path), "--model", model, "--init", "2",
+                              "--budget", "1", "--k", "2", "--out", str(out)])
+        assert code == 2 and "Traceback" not in err
+        assert f"classifier tuning: all {evaluations} evaluations failed" in err
+        failures = [row.split(",")[-1] for row in (out / "clf_bo_trace.csv").read_text().splitlines()[1:]]
+        assert len(failures) == evaluations and all("value is not finite" in f for f in failures)
+
+
+class TestManifestFields:
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [("sample_rate_hz", "abc", "'abc'"), ("sample_rate_hz", float("nan"), "nan"),
+         ("sample_rate_hz", True, "True"), ("sample_rate_hz", 0, "0"), ("sample_rate_hz", -64.0, "-64.0"),
+         ("sample_rate_hz", float("inf"), "inf"), ("sample_rate_hz", 10 ** 400, "1000"),
+         ("sample_rate_hz", None, "None"), ("path", 5, "5"), ("path", None, "None"),
+         ("subject_id", ["a"], "['a']"), ("subject_id", 7, "7")],
+        ids=["rate-text", "rate-nan", "rate-bool", "rate-zero", "rate-negative", "rate-inf", "rate-huge-int",
+             "rate-null", "path-int", "path-null", "subject-list", "subject-int"],
+    )
+    def test_malformed_field_names_manifest_subject_and_field(self, synth_dir, tmp_path, field, value, shown):
+        entries = json.loads((synth_dir / "manifest.json").read_text())
+        entries[1][field] = value
+        subject = entries[1]["subject_id"]
+        manifest = synth_dir / "bad_manifest.json"
+        manifest.write_text(json.dumps(entries))
+        what = "a string" if field != "sample_rate_hz" else "a finite positive number"
+        for argv in (["pairs", "stats"], ["loocv", "--pipeline", "FFT-NB"]):
+            code, err = run_main([*argv, "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+            assert code == 2 and "Traceback" not in err, argv
+            assert f"manifest {manifest}: subject {subject!r}: '{field}' must be {what}, got {shown}" in err, argv
+
+
 class TestConfigFile:
     @pytest.mark.parametrize(
         "content, field",
@@ -594,5 +728,80 @@ def test_fuzzed_feature_table_exits_0_or_2(tmp_path_factory, body, model):
                   "--k", "2"],
                  ["classify", "--features", str(path), "--model", model, "--predict", str(path)]):
         code, err = run_main(argv + ["--out", str(root / "out")])
+        overflowed = code == 3 and argv[0] == "classify" and "feature magnitudes are too large" in err
+        assert code in (0, 2) or overflowed, (argv, err)
+        assert "Traceback" not in err
+
+
+MANIFEST_KEYS = ["subject_id", "label", "path", "sample_rate_hz"]
+MANIFEST_EDITS = st.lists(
+    st.tuples(st.sampled_from(["set"] * 5 + ["drop-key", "copy-entry", "drop-entry"]), st.integers(0, 3),
+              st.sampled_from(MANIFEST_KEYS) | st.text(max_size=4),
+              JSON_VALUES | st.sampled_from([float("nan"), float("inf"), 1e-300, 1e300, 64.0, 32, "case",
+                                             "control", "case00.csv", "ctrl00.csv", "manifest.json", ""])),
+    min_size=1, max_size=3,
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_cohort(tmp_path_factory):
+    out = tmp_path_factory.mktemp("manifest_fuzz") / "cohort"
+    assert main(["synth", "--cases", "2", "--controls", "2", "--channels", "1", "--duration-s", "4",
+                 "--rate", "64", "--seed", "2", "--out", str(out)]) == 0
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=MANIFEST_EDITS)
+def test_fuzzed_manifest_exits_0_or_2(tiny_cohort, edits):
+    """Manifest entries with fields set to any JSON value or dropped, entries copied or removed."""
+    entries = json.loads((tiny_cohort / "manifest.json").read_text())
+    for what, i, key, value in edits:
+        if not entries:
+            break
+        entry = entries[i % len(entries)]
+        if what == "set":
+            entry[key] = value
+        elif what == "drop-key":
+            entry.pop(key, None)
+        elif what == "copy-entry":
+            entries.append(dict(entry))
+        else:
+            entries.remove(entry)
+    path = tiny_cohort / "fuzzed_manifest.json"
+    path.write_text(json.dumps(entries))
+    for argv in (["pairs", "stats"], ["loocv", "--pipeline", "FFT-NB"]):
+        code, err = run_main([*argv, "--manifest", str(path), "--out", str(tiny_cohort.parent / "out")])
         assert code in (0, 2), (argv, err)
         assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def saved_report(tmp_path_factory):
+    root = tmp_path_factory.mktemp("report_fuzz")
+    assert main(["synth", "--cases", "2", "--controls", "2", "--channels", "1", "--duration-s", "4",
+                 "--rate", "64", "--seed", "2", "--out", str(root / "cohort")]) == 0
+    assert main(["loocv", "--manifest", str(root / "cohort" / "manifest.json"), "--pipeline", "FFT-NB",
+                 "--out", str(root / "loocv")]) == 0
+    return json.loads((root / "loocv" / "report.json").read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(section=st.sampled_from([None, "channel_level", "subject_level", "channel_level.accuracy"]),
+       key=st.sampled_from(["pipeline", "n_folds", "channel_level", "subject_level", "accuracy", "sensitivity",
+                            "specificity", "mean", "std", "majority_ties", "warnings"]) | st.text(max_size=4),
+       value=JSON_VALUES | st.sampled_from([float("nan"), float("inf")]), drop=st.booleans())
+def test_fuzzed_report_exits_0_or_2(tmp_path_factory, saved_report, section, key, value, drop):
+    report = json.loads(json.dumps(saved_report))
+    target = report
+    for name in (section.split(".") if section else []):
+        target = target[name]
+    if drop:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    path = tmp_path_factory.mktemp("report") / "report.json"
+    path.write_text(json.dumps(report))
+    code, err = run_main(["report", str(path)])
+    assert code in (0, 2), err
+    assert "Traceback" not in err
