@@ -28,7 +28,7 @@ from .spectral import (
     fft_features,
     normalize_magnitudes,
 )
-from .pairing import PairBatch, PairExample, batch_iter, build_pairs, pair_stats
+from .pairing import PairBatch, PairExample, batch_iter, build_pairs
 from .siamese import (
     NetConfig,
     SiameseModel,

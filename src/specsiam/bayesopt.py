@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 NOISE_FLOOR = 1e-6
+GP_RESTARTS = 3  # random starts of the marginal-likelihood fit, after the default one
 
 
 def _within(value: float, u: float, low: float, high: float) -> float:
@@ -431,13 +432,13 @@ def _neg_log_marginal(log_params, x, y_std, fixed_noise, diffs=None, eye=None):
     return -lml, -grad
 
 
-def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed: int = 0) -> GpPosterior:
+def gp_fit(points, values, noise: float | None = None, seed: int = 0) -> GpPosterior:
     """Fit the surrogate on unit-cube points.
 
-    Kernel hyperparameters maximize the log marginal likelihood over multiple
-    starts. When noise is None the observation noise is fit jointly (floored
-    at NOISE_FLOOR); a given noise value is held fixed, which makes tiny
-    noises behave as interpolation.
+    Kernel hyperparameters maximize the log marginal likelihood over the
+    default start and GP_RESTARTS random ones. When noise is None the
+    observation noise is fit jointly (floored at NOISE_FLOOR); a given noise
+    value is held fixed, which makes tiny noises behave as interpolation.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.asarray(values, dtype=np.float64).ravel()
@@ -461,7 +462,7 @@ def gp_fit(points, values, noise: float | None = None, n_restarts: int = 3, seed
         if noise is None:
             bounds.append((math.log(NOISE_FLOOR), math.log(1.0)))
         starts = [default]
-        for _ in range(n_restarts):
+        for _ in range(GP_RESTARTS):
             starts.append(np.array([rng.uniform(lo, hi) for lo, hi in bounds]))
         low, high = (np.array(b) for b in zip(*bounds))
         best_val = math.inf
@@ -650,8 +651,6 @@ def optimize(
     n_init: int = 5,
     n_acquisitions: int = 50,
     seed: int = 0,
-    noise: float | None = None,
-    restarts: int = 10,
 ) -> tuple[dict, BoState]:
     """Quasi-random exploration followed by EI-driven acquisitions.
 
@@ -673,7 +672,7 @@ def optimize(
         raw = space.from_unit(u)
         _record(state, space, raw, _evaluate(objective, raw, state))
     for _ in range(n_acquisitions):
-        raw = propose_next(state, space, restarts=restarts)
+        raw = propose_next(state, space)
         _record(state, space, raw, _evaluate(objective, raw, state))
     return state.best_config, state
 

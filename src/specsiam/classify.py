@@ -163,6 +163,8 @@ class ClassifierKind(Enum):
 
 
 SVM_KERNELS = ("linear", "rbf")
+SVM_TOL = 1e-3  # KKT violation that makes SMO update an alpha
+SVM_MAX_PASSES = 100  # sweeps over the alphas before SMO stops
 
 NB_VARIANCE_FLOOR = 1e-9
 
@@ -428,8 +430,7 @@ class GaussianNbClassifier:
 class SmoSvmClassifier:
     """Soft-margin SVM trained by pairwise coordinate ascent on the dual."""
 
-    def __init__(self, kernel: str = "linear", c: float = 1.0, gamma: float = 0.1,
-                 tol: float = 1e-3, max_passes: int = 100, seed: int = 0):
+    def __init__(self, kernel: str = "linear", c: float = 1.0, gamma: float = 0.1, seed: int = 0):
         if kernel not in SVM_KERNELS:
             raise DataError(f"kernel must be one of {SVM_KERNELS}")
         if c <= 0:
@@ -439,8 +440,6 @@ class SmoSvmClassifier:
         self.kernel = kernel
         self.c = c
         self.gamma = gamma
-        self.tol = tol
-        self.max_passes = max_passes
         self.seed = seed
         self.x_train = self.s_train = self.alphas = None
         self.b = 0.0
@@ -463,8 +462,8 @@ class SmoSvmClassifier:
         alphas = np.zeros(n)
         b = 0.0
         rng = np.random.default_rng(self.seed)
-        c, tol = self.c, self.tol
-        for _ in range(self.max_passes):
+        c, tol = self.c, SVM_TOL
+        for _ in range(SVM_MAX_PASSES):
             changed = 0
             for i in range(n):
                 err_i = float(alphas * s @ k[:, i]) + b - s[i]

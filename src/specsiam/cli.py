@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 
@@ -25,9 +25,10 @@ from .bayesopt import Discrete, write_trace_csv
 from .classify import ClassifierKind, ClassifierSpec, LabeledFeatures
 from .errors import DataError, NumericalError
 from .evaluate import MetricsReport, PipelineConfig, write_json
-from .pairing import balance_pairs, build_pairs, stats_from_labels
-from .siamese import NetConfig, extract_features, init_model, load_checkpoint, save_checkpoint, train
-from .signals import Label, generate_synthetic_cohort, load_dataset, read_manifest, save_dataset
+from .pairing import stats_from_labels
+from .siamese import NetConfig, extract_features, load_checkpoint, save_checkpoint
+from .signals import (Label, generate_synthetic_cohort, load_dataset, read_manifest, read_signal_csv,
+                      save_dataset)
 from .spectral import (StftConfig, compute_images, config_from_dict, config_to_dict, convert_value,
                        export_image_csv, export_image_pgm)
 
@@ -170,6 +171,26 @@ def _clf_params_from_args(args, kind: ClassifierKind, tuned: bool) -> dict | Non
     return {**classify_mod.default_spec(kind).params, **passed} if passed else None
 
 
+def _add_pipeline_flags(parser) -> None:
+    """The flags that loocv and run share. The tuning flags default to None,
+    so that a passed value can be told from none."""
+    parser.add_argument("--manifest", required=True)
+    parser.add_argument("--pipeline", required=True, choices=list(evaluate.PIPELINES))
+    parser.add_argument("--mode", choices=["paper", "strict"], default="paper")
+    parser.add_argument("--tau", type=float, default=0.5)
+    parser.add_argument("--max-freq-hz", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--clf-init", type=int)
+    parser.add_argument("--clf-acq", type=int)
+    parser.add_argument("--tuning-k", type=int)
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--balance", action="store_true")
+    _add_config_flags(parser, StftConfig, NetConfig)
+    _add_clf_flags(parser)
+    parser.add_argument("--config")
+    parser.add_argument("--out")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="specsiam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,42 +265,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("loocv", help="leave-one-subject-out evaluation")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--pipeline", required=True, choices=list(evaluate.PIPELINES))
-    p.add_argument("--mode", choices=["paper", "strict"], default="paper")
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--max-freq-hz", dest="max_freq_hz", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clf-init", dest="clf_init", type=int)
-    p.add_argument("--clf-acq", dest="clf_acq", type=int)
-    p.add_argument("--tuning-k", dest="tuning_k", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--balance", action="store_true")
-    _add_config_flags(p, StftConfig, NetConfig)
-    _add_clf_flags(p)
-    p.add_argument("--config")
-    p.add_argument("--out")
+    _add_pipeline_flags(p)
 
     p = sub.add_parser("run", help="tuning, training, extraction and LOOCV in one go")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--pipeline", required=True, choices=list(evaluate.PIPELINES))
-    p.add_argument("--mode", choices=["paper", "strict"], default="paper")
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--max-freq-hz", dest="max_freq_hz", type=float, default=30.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-tune", dest="no_tune", action="store_true")
-    p.add_argument("--snn-init", dest="snn_init", type=int, default=5)
-    p.add_argument("--snn-acq", dest="snn_acq", type=int, default=50)
-    p.add_argument("--clf-init", dest="clf_init", type=int, default=5)
-    p.add_argument("--clf-acq", dest="clf_acq", type=int, default=10)
-    p.add_argument("--tuning-k", dest="tuning_k", type=int, default=5)
-    p.add_argument("--tuning-epochs", dest="tuning_epochs", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--balance", action="store_true")
-    _add_config_flags(p, StftConfig, NetConfig)
-    _add_clf_flags(p)
-    p.add_argument("--config")
-    p.add_argument("--out")
+    _add_pipeline_flags(p)
+    p.add_argument("--no-tune", action="store_true")
+    p.add_argument("--snn-init", type=int)
+    p.add_argument("--snn-acq", type=int)
+    p.add_argument("--tuning-epochs", type=int)
 
     p = sub.add_parser("report", help="render report JSON files as a table")
     p.add_argument("reports", nargs="+")
@@ -340,32 +333,16 @@ def _cmd_stft(args) -> int:
 def _cmd_pairs(args) -> int:
     entries = read_manifest(args.manifest)
     labels = {e["subject_id"]: Label(e["label"]) for e in entries}
-    first_csv = Path(entries[0]["path"])
-    if not first_csv.is_absolute():
-        first_csv = Path(args.manifest).parent / first_csv
-    if not first_csv.is_file():
-        raise DataError(f"signal file missing for subject '{entries[0]['subject_id']}': {first_csv}")
-    try:
-        with open(first_csv, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"signal file {first_csv} is not UTF-8 text ({exc})") from None
-    n_channels = len(header.split(",")) if header else 0
-    if n_channels < 1:
-        raise DataError(f"no channel header in {first_csv}")
-    stats = stats_from_labels(labels, n_channels)
+    names, _ = read_signal_csv(args.manifest, entries[0], header_only=True)
+    stats = stats_from_labels(labels, len(names))
     n_case = sum(1 for v in labels.values() if v is Label.CASE)
     print(f"subjects: {len(labels)} (case {n_case} / control {len(labels) - n_case})")
-    print(f"channels: {n_channels}")
-    print(f"total_pairs: {stats['total']}")
-    print(f"neighbors: {stats['neighbors']}")
-    print(f"non_neighbors: {stats['non_neighbors']}")
-    print(f"case_case: {stats['case_case']}")
-    print(f"control_control: {stats['control_control']}")
-    print(f"case_control: {stats['case_control']}")
+    print(f"channels: {len(names)}")
+    print(f"total_pairs: {stats.pop('total')}")
+    for key, count in stats.items():  # neighbors, non_neighbors, then by class combination
+        print(f"{key}: {count}")
     if args.out:
-        out = _out_dir(args)
-        _write_run_manifest(out, "pairs", {"manifest": str(args.manifest)})
+        _write_run_manifest(_out_dir(args), "pairs", {"manifest": str(args.manifest)})
     return 0
 
 
@@ -398,13 +375,10 @@ def _cmd_train_snn(args) -> int:
     resolved, (stft, net) = _resolve_configs(args, StftConfig, NetConfig)
     dataset = load_dataset(args.manifest)
     images = compute_images(dataset, stft)
-    pairs = build_pairs(dataset, images)
-    if args.balance:
-        pairs = balance_pairs(pairs, dataset.n_channels, seed=args.seed)
-    shape = next(iter(images.values())).magnitudes.shape
-    model = init_model(net, shape)
     t0 = time.time()
-    model, trace = train(model, pairs, images)
+    model, trace, pairs = evaluate.train_network(
+        dataset, dataset.subject_ids, net, images, balance_seed=args.seed if args.balance else None
+    )
     _log(f"train-snn: {len(pairs)} pairs, {net.epochs} epochs in {time.time() - t0:.1f}s")
     save_checkpoint(model, stft, out / "checkpoint.json")
     evaluate.write_run_artifacts(out, loss_trace=trace)
@@ -487,14 +461,32 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# run's tuning settings when their flags are not passed.
+_RUN_TUNING = {"clf_init": 5, "clf_acq": 10, "snn_init": 5, "snn_acq": 50, "tuning_k": 5, "tuning_epochs": None}
+
+
 def _pipeline_config_from_args(args) -> PipelineConfig:
+    """The PipelineConfig of loocv's or run's flags. A tuning flag that nothing
+    would read is a DataError naming it: any with run --no-tune, a network one
+    on an FFT pipeline, and loocv's --tuning-k without a classifier budget."""
     _, (stft, net) = _resolve_configs(args, StftConfig, NetConfig)
-    _, clf_kind = evaluate.parse_pipeline(args.pipeline)
-    clf_budget = None if getattr(args, "no_tune", False) else (args.clf_init, args.clf_acq)
+    route, clf_kind = evaluate.parse_pipeline(args.pipeline)
+    run, no_tune = args.command == "run", getattr(args, "no_tune", False)
+    tuning = {}
+    for key, default in _RUN_TUNING.items():
+        value, flag = getattr(args, key, None), "--" + key.replace("_", "-")
+        if value is not None and no_tune:
+            raise DataError(f"flag {flag}: run --no-tune tunes nothing")
+        if value is not None and route == "fft" and key in ("snn_init", "snn_acq", "tuning_epochs"):
+            raise DataError(f"flag {flag}: pipeline {args.pipeline} has no network to tune")
+        tuning[key] = default if value is None and run else value
+    clf_budget = None if no_tune else (tuning["clf_init"], tuning["clf_acq"])
     if clf_budget is not None and None in clf_budget:  # loocv tunes only with both flags
         if clf_budget != (None, None):
             given, missing = ("init", "acq") if args.clf_acq is None else ("acq", "init")
             raise DataError(f"flag --clf-{given}: tuning the classifier needs --clf-{missing} too")
+        if tuning["tuning_k"] is not None:
+            raise DataError("flag --tuning-k: loocv tunes nothing without --clf-init and --clf-acq")
         clf_budget = None
     clf_params = _clf_params_from_args(args, clf_kind, tuned=clf_budget is not None)
     return PipelineConfig(
@@ -504,9 +496,10 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
         mode=args.mode,
         tau=args.tau,
         clf_params=clf_params,
+        snn_budget=(tuning["snn_init"], tuning["snn_acq"]) if run and not no_tune else None,
         clf_budget=clf_budget,
-        tuning_epochs=getattr(args, "tuning_epochs", None),
-        tuning_k=args.tuning_k,
+        tuning_epochs=tuning["tuning_epochs"],
+        tuning_k=PipelineConfig.tuning_k if tuning["tuning_k"] is None else tuning["tuning_k"],
         balance=args.balance,
         jobs=args.jobs,
     )
@@ -534,8 +527,6 @@ def _cmd_run(args) -> int:
     out = _out_dir(args)
     dataset = load_dataset(args.manifest)
     config = _pipeline_config_from_args(args)
-    if not args.no_tune:
-        config = replace(config, snn_budget=(args.snn_init, args.snn_acq))
     _log(f"run: {args.pipeline} (mode={config.mode}, tuning={'off' if args.no_tune else 'on'})")
     report, artifacts = evaluate.run_pipeline(
         args.pipeline, dataset, config, seed=args.seed, out_dir=out

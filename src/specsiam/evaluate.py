@@ -52,6 +52,7 @@ __all__ = [
     "MetricsReport",
     "parse_pipeline",
     "fft_feature_table",
+    "train_network",
     "loocv",
     "classifier_folds",
     "kfold_classifier_objective",
@@ -265,15 +266,14 @@ def fft_feature_table(dataset: Dataset, max_freq_hz: float) -> LabeledFeatures:
     return LabeledFeatures(tuple(subject_ids), tuple(channels), np.asarray(rows), np.asarray(labels))
 
 
-def _train_snn(dataset: Dataset, train_ids, config: PipelineConfig, seed: int, images):
-    """Train the network on pairs drawn from train_ids only; returns (model, trace, pairs)."""
+def train_network(dataset: Dataset, train_ids, net: NetConfig, images, balance_seed: int | None = None):
+    """Train a network of config net on the pairs of train_ids only, balanced with
+    balance_seed when given (balance_pairs); returns (model, loss trace, pairs)."""
     train_ds = dataset_subset(dataset, train_ids)
     pairs = build_pairs(train_ds, images)
-    if config.balance:
-        pairs = balance_pairs(pairs, train_ds.n_channels, seed=_derive_seed(seed, 11))
-    shape = next(iter(images.values())).magnitudes.shape
-    net = replace(config.net, seed=_derive_seed(seed, 13))
-    model = init_model(net, shape)
+    if balance_seed is not None:
+        pairs = balance_pairs(pairs, train_ds.n_channels, seed=balance_seed)
+    model = init_model(net, next(iter(images.values())).magnitudes.shape)
     model, trace = train(model, pairs, images)
     return model, trace, pairs
 
@@ -353,16 +353,13 @@ def kfold_snn_objective(
     """
     folds = stratified_subject_folds(dataset.labels(), k, seed)
     images = compute_images(dataset, stft)
-    shape = next(iter(images.values())).magnitudes.shape
     all_ids = set(dataset.subject_ids)
     scores = []
     for i, val_ids in enumerate(folds):
         if len(val_ids) < 2:
             continue
-        train_ds = dataset_subset(dataset, all_ids - set(val_ids))
-        pairs = build_pairs(train_ds, images)
-        model = init_model(replace(net, seed=_derive_seed(seed, 200 + i)), shape)
-        model, _ = train(model, pairs, images)
+        fold_net = replace(net, seed=_derive_seed(seed, 200 + i))
+        model, _, _ = train_network(dataset, all_ids - set(val_ids), fold_net, images)
         val_pairs = build_pairs(dataset_subset(dataset, val_ids), images)
         scores.append(pair_accuracy(model, val_pairs, images, tau))
     if not scores:
@@ -491,12 +488,23 @@ def tune_classifier(
 
 def loocv(dataset: Dataset, name: str, config: PipelineConfig | None = None, seed: int = 0) -> MetricsReport:
     """Leave-one-subject-out evaluation of a pipeline with fixed stage settings."""
-    report, _ = _loocv_impl(dataset, name, config or PipelineConfig(), seed)
+    report, _ = _loocv_impl(dataset, name, config or PipelineConfig(), seed, deliverable=False)
     return report
 
 
-def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int):
-    """LOOCV plus the shared-stage byproducts (model, trace, feature table)."""
+def _network_table(dataset: Dataset, train_ids, config: PipelineConfig, seed: int, images):
+    """(model, loss trace, pairs, feature table of every subject) of the network
+    trained on train_ids with the net and balance seeds derived from seed."""
+    net = replace(config.net, seed=_derive_seed(seed, 13))
+    balance_seed = _derive_seed(seed, 11) if config.balance else None
+    model, trace, pairs = train_network(dataset, train_ids, net, images, balance_seed)
+    return model, trace, pairs, extract_features(model, dataset, images)
+
+
+def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int, deliverable: bool):
+    """LOOCV plus the deliverable (model, loss trace, feature table). The network
+    on every subject is trained when the folds share it (paper mode) or when
+    deliverable is set, else an SNN route gives Nones; FFT gives no model."""
     route, clf_kind = parse_pipeline(name)
     if dataset.n_subjects < 2:
         raise DataError("LOOCV needs at least 2 subjects")
@@ -507,25 +515,20 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int):
 
     subjects = sorted(dataset.subject_ids)
     strict = config.mode == "strict" and route == "snn"
-    images = None
-    table = None
-    shared_model = None
-    loss_trace = None
+    model = trace = images = table = None
     if route == "fft":
         table = fft_feature_table(dataset, config.max_freq_hz)
     else:
         images = compute_images(dataset, config.stft)
-        if not strict:
-            shared_model, loss_trace, _ = _train_snn(dataset, subjects, config, seed, images)
-            table = extract_features(shared_model, dataset, images)
+        if not strict or deliverable:
+            model, trace, _, table = _network_table(dataset, subjects, config, seed, images)
 
     def run_fold(fold_index: int) -> FoldResult:
         held = subjects[fold_index]
         train_ids = [s for s in subjects if s != held]
         fold_seed = _derive_seed(seed, 1000 + fold_index)
         if strict:
-            model, _, pairs = _train_snn(dataset, train_ids, config, fold_seed, images)
-            fold_table = extract_features(model, dataset, images)
+            _, _, pairs, fold_table = _network_table(dataset, train_ids, config, fold_seed, images)
             audit_no_leakage(held, pairs, None)
         else:
             fold_table = table
@@ -545,8 +548,8 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int):
             spec = ClassifierSpec(clf_kind, config.clf_params)
         else:
             spec = default_spec(clf_kind)
-        model = classify.fit(spec, train_table, seed=fold_seed)
-        preds = model.predict(test_table.x)
+        fitted = classify.fit(spec, train_table, seed=fold_seed)
+        preds = fitted.predict(test_table.x)
         return _fold_result(held, labels[held], preds, spec.params)
 
     if config.jobs > 1:
@@ -554,9 +557,7 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int):
             folds = list(pool.map(run_fold, range(len(subjects))))
     else:
         folds = [run_fold(i) for i in range(len(subjects))]
-    report = compute_metrics(folds, pipeline_id=name)
-    extras = {"model": shared_model, "loss_trace": loss_trace, "images": images, "table": table}
-    return report, extras
+    return compute_metrics(folds, pipeline_id=name), (model, trace, table)
 
 
 def run_pipeline(
@@ -588,23 +589,16 @@ def run_pipeline(
         if trace_path is not None:
             artifacts["snn_bo_trace"] = str(trace_path)
 
-    report, extras = _loocv_impl(dataset, name, config, seed)
+    report, (model, trace, table) = _loocv_impl(dataset, name, config, seed, deliverable=out is not None)
 
     if out is not None:
-        trace = None
-        if route == "snn":
-            model, trace = extras["model"], extras["loss_trace"]
-            if model is None:  # strict mode: train the deliverable model on everyone
-                images = extras["images"]
-                model, trace, _ = _train_snn(dataset, sorted(dataset.subject_ids), config, seed, images)
-                extras["table"] = extract_features(model, dataset, images)
+        if model is not None:
             ckpt = out / "model_checkpoint.json"
             save_checkpoint(model, config.stft, ckpt)
             artifacts["checkpoint"] = str(ckpt)
-        if extras["table"] is not None:
-            feat_path = out / "features.csv"
-            extras["table"].to_csv(feat_path)
-            artifacts["features"] = str(feat_path)
+        feat_path = out / "features.csv"
+        table.to_csv(feat_path)
+        artifacts["features"] = str(feat_path)
         artifacts.update(write_run_artifacts(out, report, trace))
         resolved = out / "pipeline_config.json"
         write_json(resolved, pipeline_config_to_dict(name, config, seed))

@@ -21,7 +21,6 @@ __all__ = [
     "PairBatch",
     "build_pairs",
     "batch_iter",
-    "pair_stats",
     "stats_from_labels",
     "balance_pairs",
 ]
@@ -128,27 +127,6 @@ def batch_iter(
         for gi in chunk:
             members.extend(groups[gi][1])
         yield PairBatch(tuple(members), n_channels)
-
-
-def pair_stats(pairs, labels: dict[str, Label]) -> dict[str, int]:
-    """Counts of pairs overall, by neighbor label, and by class combination."""
-    stats = {
-        "total": len(pairs),
-        "neighbors": 0,
-        "non_neighbors": 0,
-        "case_case": 0,
-        "control_control": 0,
-        "case_control": 0,
-    }
-    for p in pairs:
-        la, lb = labels[p.subject_a], labels[p.subject_b]
-        if p.y == 1:
-            stats["neighbors"] += 1
-            stats["case_case" if la is Label.CASE else "control_control"] += 1
-        else:
-            stats["non_neighbors"] += 1
-            stats["case_control"] += 1
-    return stats
 
 
 def stats_from_labels(labels: dict[str, Label], n_channels: int) -> dict[str, int]:

@@ -672,29 +672,28 @@ def _forward_base(model: SiameseModel, x: np.ndarray, masks=None) -> np.ndarray:
 
 def cosine_distance(f1, f2) -> float:
     """1 minus cosine similarity; in [0, 1] for simplex vectors."""
-    f1 = np.asarray(f1, dtype=np.float64)
-    f2 = np.asarray(f2, dtype=np.float64)
-    n1 = np.linalg.norm(f1)
-    n2 = np.linalg.norm(f2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise DataError("cosine distance undefined for a zero vector")
-    return float(1.0 - float(f1 @ f2) / (n1 * n2))
+    fa, fb = (np.asarray(f, dtype=np.float64)[None] for f in (f1, f2))
+    return float(_pair_distances(fa, fb)[0])
 
 
 def contrastive_loss(y: int, d: float, m: float) -> float:
     """Neighbor pairs pay d^2; non-neighbors pay max(0, m - d)^2."""
-    if y == 1:
-        return float(d * d)
-    gap = max(0.0, m - d)
-    return float(gap * gap)
+    return float(_pair_losses(np.array([y], dtype=np.float64), np.array([d], dtype=np.float64), m)[0])
 
 
 def _pair_distances(fa, fb):
+    """Cosine distance of each row of fa to the same row of fb."""
     na = np.linalg.norm(fa, axis=1)
     nb = np.linalg.norm(fb, axis=1)
     if np.any(na == 0.0) or np.any(nb == 0.0):
         raise DataError("cosine distance undefined for a zero vector")
     return 1.0 - (fa * fb).sum(axis=1) / (na * nb)
+
+
+def _pair_losses(y, d, margin):
+    """Contrastive loss of each pair of neighbor labels y and distances d."""
+    gap = np.maximum(0.0, margin - d)
+    return y * d * d + (1.0 - y) * gap * gap
 
 
 def _image_array(obj) -> np.ndarray:
@@ -755,8 +754,7 @@ def _loss_and_grads(model: SiameseModel, x, rows_a, rows_b, y, masks):
     del p1
     d = _pair_distances(fa, fb)
     gap = np.maximum(0.0, cfg.margin - d)
-    losses = y * d * d + (1.0 - y) * gap * gap
-    loss = float(losses.mean()) + _l1_penalty(model)
+    loss = float(_pair_losses(y, d, cfg.margin).mean()) + _l1_penalty(model)
 
     n = d.size
     dd = (2.0 * y * d - 2.0 * (1.0 - y) * gap) / n
@@ -848,8 +846,9 @@ def gradient(model: SiameseModel, batch: PairBatch, images, masks=None) -> dict[
 # ---------------------------------------------------------------------------
 # training
 
-def train(model: SiameseModel, pairs, images, subject_pairs_per_batch: int = 16):
-    """Adam training over channel-grouped batches; returns (model, epoch losses).
+def train(model: SiameseModel, pairs, images):
+    """Adam training over channel-grouped batches of batch_iter's default size;
+    returns (model, epoch losses).
 
     The model is updated in place. Batch shuffling and dropout masks derive
     from config.seed and the model rng, so identical seeds reproduce identical
@@ -869,9 +868,7 @@ def train(model: SiameseModel, pairs, images, subject_pairs_per_batch: int = 16)
         shuffle_seed = np.random.SeedSequence([cfg.seed, epoch]).generate_state(1)[0]
         total_loss = 0.0
         total_pairs = 0
-        for batch_index, batch in enumerate(
-            batch_iter(pairs, n_channels, subject_pairs_per_batch, shuffle_seed)
-        ):
+        for batch_index, batch in enumerate(batch_iter(pairs, n_channels, shuffle_seed=shuffle_seed)):
             arrays = _batch_arrays(batch, images)
             masks = sample_dropout_masks(model, batch.n_pairs) if use_dropout else None
             loss, grads = _loss_and_grads(model, *arrays, masks)

@@ -29,6 +29,7 @@ __all__ = [
     "TEN_TWENTY_CHANNELS",
     "DEFAULT_CASE_PROFILE",
     "DEFAULT_CONTROL_PROFILE",
+    "read_signal_csv",
     "load_dataset",
     "save_dataset",
     "generate_synthetic_cohort",
@@ -210,18 +211,29 @@ def read_manifest(manifest_path: str | Path) -> list[dict]:
     return entries
 
 
-def _read_signal_csv(path: Path, subject_id: str) -> tuple[tuple[str, ...], np.ndarray]:
+def read_signal_csv(manifest_path: str | Path, entry: dict, header_only: bool = False):
+    """(channel names, (channels, samples) array) of a manifest entry's signal
+    CSV, whose path resolves against the manifest's directory. header_only
+    reads the header row alone and gives None for the array."""
+    path = Path(entry["path"])
+    if not path.is_absolute():
+        path = Path(manifest_path).parent / path
+    subject_id = entry["subject_id"]
     if not path.is_file():
         raise DataError(f"signal file missing for subject '{subject_id}': {path}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), None)
-            body = fh.read()
+            body = "" if header_only else fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"subject '{subject_id}': signal file {path} is not UTF-8 text ({exc})") from None
     if header is None:
         raise DataError(f"subject '{subject_id}': empty signal file {path}")
+    if not header:
+        raise DataError(f"subject '{subject_id}': no channel header in {path}")
     names = tuple(cell.strip() for cell in header)
+    if header_only:
+        return names, None
     samples = _parse_bulk(body, len(names))
     if samples is None:
         samples = _parse_rows(body, names, subject_id, path)
@@ -290,15 +302,11 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     """
     path = Path(manifest_path)
     entries = read_manifest(path)
-    base = path.parent
     canonical: tuple[str, ...] | None = None
     recordings = []
     for entry in entries:
         sid = entry["subject_id"]
-        csv_path = Path(entry["path"])
-        if not csv_path.is_absolute():
-            csv_path = base / csv_path
-        names, samples = _read_signal_csv(csv_path, sid)
+        names, samples = read_signal_csv(path, entry)
         if canonical is None:
             canonical = names
         elif names != canonical:
@@ -322,8 +330,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     return Dataset(tuple(recordings), canonical)
 
 
-def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "manifest.json") -> Path:
-    """Write one CSV per subject plus the manifest; returns the manifest path.
+def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
+    """Write one CSV per subject plus manifest.json; returns the manifest path.
 
     Floats are written with repr so that load_dataset round-trips bit-exactly;
     the sample rows are joined in one string, with the csv module's \\r\\n
@@ -345,7 +353,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path, manifest_name: str = "ma
                 "sample_rate_hz": rec.sample_rate_hz,
             }
         )
-    manifest = out / manifest_name
+    manifest = out / "manifest.json"
     manifest.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
 
@@ -389,7 +397,6 @@ def generate_synthetic_cohort(
     class_profiles: tuple[tuple[BandComponent, ...], tuple[BandComponent, ...]] | None = None,
     noise_sigma: float = 0.5,
     seed: int = 0,
-    channel_names: tuple[str, ...] | None = None,
 ) -> Dataset:
     """Deterministically generate a two-class cohort of band-limited sinusoid mixes.
 
@@ -422,12 +429,7 @@ def generate_synthetic_cohort(
                     f"band [{band.low_hz}, {band.high_hz}] Hz exceeds the Nyquist "
                     f"frequency {nyquist} Hz"
                 )
-    if channel_names is None:
-        channel_names = tuple(f"ch{j:02d}" for j in range(m_channels))
-    else:
-        channel_names = tuple(channel_names)
-        if len(channel_names) != m_channels:
-            raise DataError("channel_names length must equal m_channels")
+    channel_names = tuple(f"ch{j:02d}" for j in range(m_channels))
 
     rng = np.random.default_rng(seed)
     t = np.arange(n_samples) / sample_rate_hz

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from specsiam.cli import build_parser, main
 from specsiam.classify import ClassifierKind, LabeledFeatures, classifier_search_space
 from specsiam.siamese import NetConfig, init_model, save_checkpoint
+from specsiam.signals import load_dataset
 from specsiam.spectral import StftConfig
 
 
@@ -150,6 +151,16 @@ class TestPairs:
         assert "subjects: 8 (case 4 / control 4)" in out
         assert "neighbors: 24" in out
         assert "non_neighbors: 32" in out
+
+    def test_a_quoted_header_cell_is_one_channel(self, synth_dir, capsys):
+        for path in synth_dir.glob("*.csv"):
+            header, body = path.read_bytes().split(b"\r\n", 1)
+            assert header == b"ch00,ch01"
+            path.write_bytes(b'"F7,ref",F3\r\n' + body)
+        assert load_dataset(manifest_of(synth_dir)).channel_names == ("F7,ref", "F3")
+        assert main(["pairs", "stats", "--manifest", manifest_of(synth_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "channels: 2" in out and "total_pairs: 56" in out
 
 
 class TestTrainExtractClassify:
@@ -316,6 +327,9 @@ def run_main(argv):
     return code, err.getvalue()
 
 
+TUNING_FLAGS = ("--clf-init", "--clf-acq", "--snn-init", "--snn-acq", "--tuning-k", "--tuning-epochs")
+
+
 class TestClassifierFlags:
     @pytest.mark.parametrize("command", ["classify", "loocv", "run"])
     def test_one_flag_per_search_space_dimension(self, command):
@@ -376,15 +390,34 @@ class TestClassifierFlags:
          (["loocv", "--pipeline", "FFT-kNN", "--clf-init", "2"], "flag --clf-init: tuning the classifier needs"),
          (["loocv", "--pipeline", "FFT-kNN", "--clf-acq", "1"], "flag --clf-acq: tuning the classifier needs"),
          (["loocv", "--pipeline", "FFT-SVM", "--svm-c", "99"], "flag --svm-c: svm c must lie in (0.5, 5.0), got 99"),
-         (["run", "--pipeline", "FFT-kNN", "--no-tune", "--knn-k", "1"], "flag --knn-k: knn k must be in")],
+         (["run", "--pipeline", "FFT-kNN", "--no-tune", "--knn-k", "1"], "flag --knn-k: knn k must be in"),
+         *((["run", "--pipeline", "DSTFT-SNN-kNN", "--no-tune", flag, "2"],
+            f"flag {flag}: run --no-tune tunes nothing") for flag in TUNING_FLAGS),
+         (["run", "--pipeline", "FFT-kNN", "--no-tune", "--clf-init", "2", "--clf-acq", "1", "--snn-init", "3"],
+          "flag --clf-init: run --no-tune tunes nothing"),
+         *((["run", "--pipeline", "FFT-SVM", flag, "1"], f"flag {flag}: pipeline FFT-SVM has no network to tune")
+           for flag in ("--snn-init", "--snn-acq", "--tuning-epochs")),
+         (["loocv", "--pipeline", "FFT-kNN", "--tuning-k", "3"],
+          "flag --tuning-k: loocv tunes nothing without --clf-init and --clf-acq"),
+         (["run", "--pipeline", "FFT-kNN", "--clf-init", "0"], "n_init must be >= 1"),
+         (["loocv", "--pipeline", "FFT-kNN", "--clf-init", "0", "--clf-acq", "1"], "n_init must be >= 1")],
         ids=["loocv-other-kind", "run-other-kind", "run-tuned", "run-tuned-by-default", "loocv-tuned",
-             "init-without-acq", "acq-without-init", "loocv-out-of-range", "run-out-of-range"],
+             "init-without-acq", "acq-without-init", "loocv-out-of-range", "run-out-of-range",
+             *(f"no-tune{flag}" for flag in TUNING_FLAGS), "no-tune-three-flags", "fft--snn-init",
+             "fft--snn-acq", "fft--tuning-epochs", "loocv-tuning-k-alone", "run-zero-init", "loocv-zero-init"],
     )
     def test_pipeline_commands_reject_a_flag_by_name(self, synth_dir, tmp_path, argv, message):
         out = tmp_path / "out"
         code, err = run_main([*argv, "--manifest", manifest_of(synth_dir), "--out", str(out)])
         assert code == 2 and message in err and "Traceback" not in err
         assert not (out / "report.json").exists()
+
+    def test_run_fills_the_budgets_that_are_not_passed(self, synth_dir, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--manifest", manifest_of(synth_dir), "--pipeline", "FFT-NB", "--clf-acq", "0",
+                     "--tuning-k", "2", "--out", str(out)]) == 0
+        resolved = json.loads((out / "pipeline_config.json").read_text())
+        assert (resolved["clf_budget"], resolved["snn_budget"], resolved["tuning_k"]) == ([5, 0], [5, 50], 2)
 
     def test_flags_of_the_pipeline_kind_reach_every_fold(self, synth_dir, tmp_path):
         out = tmp_path / "out"

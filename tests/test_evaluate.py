@@ -433,6 +433,39 @@ class TestRunPipeline:
         with pytest.raises(DataError):
             run_pipeline("FFT-LDA", ds, micro_config(), seed=0)
 
+    @pytest.mark.parametrize(
+        "mode, out, trainings",
+        [("strict", False, 4), ("strict", True, 5), ("paper", False, 1), ("paper", True, 1)],
+        ids=["strict", "strict-deliverable", "paper", "paper-deliverable"],
+    )
+    def test_the_deliverable_network_is_trained_only_for_artifacts(self, tmp_path, train_calls,
+                                                                   mode, out, trainings):
+        # strict folds train one network each; the all-subject one is trained
+        # when the folds share it or when out_dir asks for its checkpoint
+        ds = micro_cohort(2, 2, duration_s=6.0)
+        run_pipeline("DSTFT-SNN-kNN", ds, micro_config(mode=mode), seed=1,
+                     out_dir=tmp_path if out else None)
+        assert len(train_calls) == trainings
+        assert (tmp_path / "model_checkpoint.json").is_file() == out
+
+    def test_strict_loocv_trains_one_network_per_fold(self, train_calls):
+        loocv(micro_cohort(2, 2, duration_s=6.0), "DSTFT-SNN-kNN", micro_config(mode="strict"), seed=1)
+        assert len(train_calls) == 4
+
+
+@pytest.fixture()
+def train_calls(monkeypatch):
+    """A list that grows by one at each call of evaluate.train."""
+    calls = []
+    train = evaluate.train
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "train", counted)
+    return calls
+
 
 class TestReportRendering:
     def test_table_layout(self):

@@ -11,7 +11,6 @@ from specsiam.pairing import (
     balance_pairs,
     batch_iter,
     build_pairs,
-    pair_stats,
     stats_from_labels,
 )
 from specsiam.signals import Dataset, EegRecording, Label, generate_synthetic_cohort
@@ -104,8 +103,16 @@ class TestBuildPairs:
         assert len(pairs) == n_channels * comb(n, 2)
         got = [(p.subject_a, p.subject_b, p.channel_index, p.y) for p in pairs]
         assert sorted(got) == sorted(enumerate_expected(labels, n_channels))
-        stats = pair_stats(pairs, labels)
-        assert stats == stats_from_labels(labels, n_channels)
+        neighbors = sum(p.y for p in pairs)
+        case_case = sum(p.y for p in pairs if labels[p.subject_a] is Label.CASE)
+        assert stats_from_labels(labels, n_channels) == {
+            "total": len(pairs),
+            "neighbors": neighbors,
+            "non_neighbors": len(pairs) - neighbors,
+            "case_case": case_case,
+            "control_control": neighbors - case_case,
+            "case_control": len(pairs) - neighbors,
+        }
 
     def test_self_pair_rejected(self):
         with pytest.raises(DataError, match="itself"):
