@@ -16,7 +16,10 @@ backward (`_conv_block_backward`, with dX for conv2 only) at the same shapes.
 A second table times the stages behind the FFT baseline rows, best of
 --repeats calls in milliseconds: one default gradient-boosting fit (50 trees
 of depth 3) on a 10x301 table (the FFT features of a 10-s, 64-Hz channel) and
-on a 128x8 table (twin-network features), and one `gp_fit` and one
+on a 128x8 table (twin-network features); one linear and one rbf SVM fit
+(c=1, gamma=0.1) on the FFT features of 4 synthetic subjects (8x301, an
+inner fold of the tuned FFT-SVM row) and on 1062x8 simplex rows (a
+twin-feature LOOCV fold at paper scale); and one `gp_fit` and one
 `propose_next` after n evaluations: n = 9 and 15 on the SVM search space
 (d = 3; 15 is the default classifier budget of 5 + 10) and n = 55 on the
 network search space (d = 6; the default network budget of 5 + 50).
@@ -47,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from specsiam import bayesopt, classify, evaluate  # noqa: E402
+from specsiam import bayesopt, classify, evaluate, signals  # noqa: E402
 from specsiam.pairing import PairBatch, PairExample  # noqa: E402
 from specsiam import siamese as S  # noqa: E402
 
@@ -120,6 +123,17 @@ def stage_rows(repeats, rng):
         table = classify.LabeledFeatures(tuple(f"s{i}" for i in range(n)), (0,) * n, x, y)
         ms = best_ms(classify.fit, spec, table, repeats=repeats)
         print(f"| xgb fit, default spec | {n}x{d} | {ms:.1f} |", flush=True)
+    cohort = signals.generate_synthetic_cohort(3, 3, 2, 10.0, 64.0, seed=0)
+    fft_table = evaluate.fft_feature_table(cohort, evaluate.PipelineConfig().max_freq_hz)
+    x = rng.dirichlet(np.ones(8), 1062)  # on the simplex, like twin-network features
+    y = (x[:, 0] > 1.0 / 8).astype(np.int64) ^ (np.arange(1062) % 7 == 0)  # a rule, every 7th label flipped
+    twin_table = classify.LabeledFeatures(tuple(f"s{i // 16}" for i in range(1062)), (0,) * 1062, x, y)
+    for table in (fft_table.subset(["case00", "case01", "ctrl00", "ctrl01"]), twin_table):
+        n, d = table.x.shape
+        for kernel in classify.SVM_KERNELS:
+            spec = classify.ClassifierSpec(classify.ClassifierKind.SVM, {"kernel": kernel, "c": 1.0, "gamma": 0.1})
+            ms = best_ms(classify.fit, spec, table, repeats=repeats)
+            print(f"| svm fit, {kernel}, c=1, gamma=0.1 | {n}x{d} | {ms:.1f} |", flush=True)
     svm = classify.classifier_search_space(classify.ClassifierKind.SVM)
     for space, n in ((svm, 9), (svm, 15), (evaluate.snn_search_space(), 55)):
         state = bayesopt.BoState(space=space, seed=3)

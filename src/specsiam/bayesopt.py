@@ -8,15 +8,23 @@ gradients. Candidates are snapped back to the raw space; discrete dimensions
 snap to the nearest listed value. All objectives are maximized (validation
 accuracies).
 
-The surrogate's matrices are small (n ≤ 60 evaluations), so its inner loop
-calls the LAPACK routines behind scipy.linalg's cholesky, cho_solve and
+The surrogate's matrices are small (n ≤ 60 evaluations), so per-call
+overhead, not arithmetic, sets the cost of a search. Its inner loop calls
+the LAPACK routines behind scipy.linalg's cholesky, cho_solve and
 solve_triangular directly, with the arguments those wrappers pass, and
 drives scipy's L-BFGS-B routine (setulb) with the loop, settings and
 evaluation caching of scipy.optimize.minimize(method="L-BFGS-B", jac=True).
-What a fit or a posterior holds fixed (pairwise differences, the identity,
-the standardized values, the Cholesky factor) is computed and checked for
-finiteness once. Proposals, traces and reports are bit-identical to the
-wrapped calls, at a fraction of the per-call overhead.
+The starts of a multi-start search run in lockstep, each with its own
+setulb state: every round, the starts that need the objective at a new
+point are evaluated together by one call of a batched objective, which
+takes a stack of points and returns a value and a gradient per row. The
+batched objectives compute each row exactly as that point alone: matrix
+products keep their per-row shapes, scalars that math.exp gave stay from
+math.exp, and factorizations and solves run per row. What a fit or a
+posterior holds fixed (pairwise differences, the identity, the
+standardized values, the Cholesky factor) is computed and checked for
+finiteness once. Proposals, traces and reports are bit-identical to
+scipy.optimize.minimize run from each start in turn on the wrapped calls.
 """
 
 from __future__ import annotations
@@ -203,13 +211,18 @@ def _matern52(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray, signal_v
 
 
 def _matern52_scaled(
-    sa: np.ndarray, sa_norms: np.ndarray, sb: np.ndarray, sb_norms: np.ndarray, signal_var: float
+    sa: np.ndarray, sa_norms: np.ndarray, sb: np.ndarray, sb_norms: np.ndarray, signal_var
 ):
-    """The kernel between points already divided by the lengthscales, given their squared row norms."""
+    """The kernel between points already divided by the lengthscales, given their squared row norms.
+
+    Either side may be a stack of point sets along leading axes (signal_var
+    then broadcasts against the stack): each pair of sets is multiplied as
+    its own matrix product, so every slice equals the unstacked kernel.
+    """
     d2 = (
-        sa_norms[:, None]
-        + sb_norms[None, :]
-        - 2.0 * (sa @ sb.T)
+        sa_norms[..., :, None]
+        + sb_norms[..., None, :]
+        - 2.0 * (sa @ np.swapaxes(sb, -1, -2))
     )
     r = np.sqrt(np.maximum(d2, 0.0))
     sq5r = SQRT5 * r
@@ -233,9 +246,10 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """sp_linalg.cholesky(a, lower=True)."""
-    _check_finite(a)
+def _cholesky(a: np.ndarray, check_finite: bool = True) -> np.ndarray:
+    """sp_linalg.cholesky(a, lower=True, check_finite=check_finite)."""
+    if check_finite:
+        _check_finite(a)
     c, info = _POTRF(a, lower=True, overwrite_a=False, clean=True)
     if info > 0:
         raise sp_linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
@@ -293,21 +307,13 @@ _LBFGSB_MAXITER = _LBFGSB_MAXFUN = 15000
 _FG, _NEW_X, _STOP = 3, 1, 5  # setulb's task codes
 
 
-def _lbfgsb_minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, args=()):
-    """minimize(fun, x0, args, method="L-BFGS-B", jac=True, bounds=zip(lower, upper)), reduced to its loop.
-
-    Returns the final x, f and the number of objective evaluations; fun
-    returns (f, gradient). Like scipy's _minimize_lbfgsb, x0 is clipped to
-    the (finite) bounds and evaluated first, fun gets a copy of x and is not
-    called again while x is unchanged, and the iteration and evaluation
-    limits stop the run after the iteration that reaches them.
-    """
-    n = x0.size
+def _lbfgsb_run(x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """One start of _lbfgsb_lockstep: yields each x it needs (f, g) at, is sent them, returns (x, f, nfev)."""
+    n = x.size
     m = _LBFGSB_M
-    x = np.clip(x0, lower, upper)
     nbd = np.full(n, 2, np.int32)  # bounded below and above
     x_seen = x.copy()
-    f_seen, g_seen = fun(x.copy(), *args)
+    f_seen, g_seen = yield x_seen
     nfev = 1
     f, g = f_seen, g_seen
     wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
@@ -320,9 +326,9 @@ def _lbfgsb_minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, 
         _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task,
                        lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == _FG:
-            if not np.array_equal(x, x_seen):
+            if x.tolist() != x_seen.tolist():  # not np.array_equal (elementwise ==: 0.0 == -0.0, nan != nan)
                 x_seen = x.copy()
-                f_seen, g_seen = fun(x.copy(), *args)
+                f_seen, g_seen = yield x_seen
                 nfev += 1
             f, g = f_seen, g_seen
         elif task[0] == _NEW_X:
@@ -333,6 +339,34 @@ def _lbfgsb_minimize(fun, x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, 
                 task[:] = _STOP, 502
         else:
             return x, f, nfev
+
+
+def _lbfgsb_lockstep(fun, starts, lower: np.ndarray, upper: np.ndarray, args=()) -> list:
+    """minimize(fun, x0, args, method="L-BFGS-B", jac=True, bounds=zip(lower, upper)) from each x0 in starts.
+
+    Returns the final x, f and the number of objective evaluations of each
+    start. Each start runs _minimize_lbfgsb's loop reduced to its core: x0
+    is clipped to the (finite) bounds and evaluated first, the objective is
+    not evaluated again while x is unchanged, and the iteration and
+    evaluation limits stop the run after the iteration that reaches them.
+    The starts advance in lockstep: in each round every unfinished start
+    runs until it needs the objective at a new x, and one call of fun
+    evaluates all of those points. fun takes the points as the rows of a
+    stack and returns a value and a gradient per row.
+    """
+    runs = [_lbfgsb_run(np.clip(x0, lower, upper), lower, upper) for x0 in starts]
+    results = [None] * len(runs)
+    asking = {i: next(run) for i, run in enumerate(runs)}
+    while asking:
+        values, grads = fun(np.array(list(asking.values())), *args)
+        replies = zip(list(asking), values, grads)
+        asking = {}
+        for i, f, g in replies:
+            try:
+                asking[i] = runs[i].send((f, g))
+            except StopIteration as done:
+                results[i] = done.value
+    return results
 
 
 @dataclass
@@ -361,13 +395,20 @@ class GpPosterior:
         return mu, var
 
     def _posterior(self, xq: np.ndarray):
-        """Mean and variance at xq, plus k(X, xq) and v = L⁻¹k(X, xq) for gradients."""
+        """Mean and variance at xq, plus k(X, xq) and v = L⁻¹k(X, xq) for gradients.
+
+        xq is one set of query rows, or a stack of sets along a leading axis,
+        whose results equal those of each set alone.
+        """
         sq = xq / self.lengthscales
-        k_star = _matern52_scaled(self._scaled, self._scaled_norms, sq, (sq * sq).sum(axis=1), self.signal_var)
-        mu = self.y_mean + self.y_scale * (k_star.T @ self.alpha)
+        k_star = _matern52_scaled(self._scaled, self._scaled_norms, sq, (sq * sq).sum(axis=-1), self.signal_var)
+        mu = self.y_mean + self.y_scale * (np.swapaxes(k_star, -1, -2) @ self.alpha)
         _check_finite(k_star)
-        v = _solve_lower(self.chol_lower, k_star, check_finite=False)
-        var = self.signal_var - (v * v).sum(axis=0)
+        if xq.ndim == 2:
+            v = _solve_lower(self.chol_lower, k_star, check_finite=False)
+        else:
+            v = np.array([_solve_lower(self.chol_lower, ks, check_finite=False) for ks in k_star])
+        var = self.signal_var - (v * v).sum(axis=-2)
         var = np.maximum(var, 0.0) * self.y_scale**2
         return mu, var, k_star, v
 
@@ -380,56 +421,78 @@ class GpPosterior:
         }
 
 
-def _neg_log_marginal(log_params, x, y_std, fixed_noise, diffs=None, eye=None):
-    """Negative log marginal likelihood and its gradient in log_params.
+def _neg_log_marginal(log_params, x, y_std, fixed_noise, diffs, eye):
+    """Negative log marginal likelihood and its gradient in log_params, at each row of a stack.
 
-    log_params holds the log lengthscales, the log signal variance and, when
+    Each row holds the log lengthscales, the log signal variance and, when
     fixed_noise is None, the log noise variance. Each gradient entry is
     0.5·tr((ααᵀ − K⁻¹) ∂K/∂θ) (Rasmussen & Williams 2006, eq. 5.9). A
     covariance that cannot be factored scores 1e9 with a zero gradient.
     diffs (x[:, None] − x[None]) and eye (the n×n identity) depend on x
-    alone; gp_fit passes them in once per fit, with y_std already checked
-    for finiteness (eye is finite by construction).
+    alone, and the caller checks y_std for finiteness. Returns the values
+    (floats) and the gradients (rows).
+
+    Every row equals its evaluation alone, bit for bit: the kernel and
+    gradient algebra runs on the whole stack with each matrix product
+    keeping its per-row shape, the variances come from math.exp per row
+    (np.exp differs from it in the last bit now and then), and the
+    factorization and solves run per row.
     """
     n, d = x.shape
-    if diffs is None:
-        diffs, eye = x[:, None, :] - x[None, :, :], np.eye(n)
-        _check_finite(y_std)
-    ls = np.exp(log_params[:d])
-    sf = math.exp(log_params[d])
-    if fixed_noise is None:
-        fitted_noise = math.exp(log_params[d + 1])
-        sn = max(fitted_noise, NOISE_FLOOR)
-    else:
-        sn = fixed_noise
-    failed = 1e9, np.zeros_like(log_params)
-    scaled = x / ls
-    norms = (scaled * scaled).sum(axis=1)
+    ls = np.exp(log_params[:, :d])
+    variances = []  # per row: signal variance, noise variance, ∂(noise variance)/∂log
+    for row in log_params[:, d:].tolist():
+        if fixed_noise is None:
+            fitted_noise = math.exp(row[1])
+            sn = max(fitted_noise, NOISE_FLOOR)
+            variances.append((math.exp(row[0]), sn, sn if fitted_noise >= NOISE_FLOOR else 0.0))
+        else:
+            variances.append((math.exp(row[0]), fixed_noise, 0.0))
+    sf, sn, dsn = np.array(variances).T[:, :, None, None]
+    scaled = x / ls[:, None, :]
+    norms = (scaled * scaled).sum(axis=2)
     k = _matern52_scaled(scaled, norms, scaled, norms, sf)
-    try:
-        lower = _cholesky(k + (sn + 1e-12) * eye)
-    except sp_linalg.LinAlgError:
-        return failed
+    shifted = k + (sn + 1e-12) * eye
+    _check_finite(shifted)
+    rows, lowers = [], []
+    for i, a in enumerate(shifted):
+        try:
+            lowers.append(_cholesky(a, check_finite=False))
+            rows.append(i)
+        except sp_linalg.LinAlgError:
+            pass
+    values, grads = [1e9] * len(log_params), np.zeros_like(log_params)
+    if not rows:
+        return values, grads
+    lower = np.array(lowers)
     _check_finite(lower)
-    alpha = _cho_solve(lower, y_std, check_finite=False)
+    alpha = np.array([_cho_solve(c, y_std, check_finite=False) for c in lowers])
     lml = (
-        -0.5 * float(y_std @ alpha)
-        - float(np.log(np.diag(lower)).sum())
+        -0.5 * (y_std @ alpha[:, :, None])[:, 0]
+        - np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    if not math.isfinite(lml):
-        return failed
-    w = np.outer(alpha, alpha) - _cho_solve(lower, eye, check_finite=False)
+    finite = np.isfinite(lml)
+    if not finite.all():
+        rows, lowers = [i for i, ok in zip(rows, finite) if ok], [c for c, ok in zip(lowers, finite) if ok]
+        alpha, lml = alpha[finite], lml[finite]
+        if not rows:
+            return values, grads
+    on = slice(None) if len(rows) == len(log_params) else rows  # the rows that scored
+    w = alpha[:, :, None] * alpha[:, None, :] - np.array([_cho_solve(c, eye, check_finite=False) for c in lowers])
     # dk/dlog l_i = sf·(5/3)(1 + √5 r)e^(−√5 r)·(Δ_i/l_i)²
-    scaled_sq = (diffs / ls) ** 2
-    r = np.sqrt(scaled_sq.sum(axis=2))
-    radial = sf * (5.0 / 3.0) * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
-    grad = np.empty_like(log_params)
-    grad[:d] = 0.5 * np.einsum("ab,abi->i", w * radial, scaled_sq)
-    grad[d] = 0.5 * float((w * k).sum())
+    scaled_sq = (diffs / ls[on, None, None, :]) ** 2
+    r = np.sqrt(scaled_sq.sum(axis=3))
+    radial = sf[on] * (5.0 / 3.0) * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
+    grad = np.empty((len(rows), log_params.shape[1]))
+    grad[:, :d] = 0.5 * np.einsum("rab,rabi->ri", w * radial, scaled_sq)
+    grad[:, d] = 0.5 * (w * k[on]).sum(axis=(1, 2))
     if fixed_noise is None:
-        grad[d + 1] = 0.5 * float(np.trace(w)) * (sn if fitted_noise >= NOISE_FLOOR else 0.0)
-    return -lml, -grad
+        grad[:, d + 1] = 0.5 * np.trace(w, axis1=1, axis2=2) * dsn[on, 0, 0]
+    grads[on] = -grad
+    for i, value in zip(rows, (-lml).tolist()):
+        values[i] = value
+    return values, grads
 
 
 def gp_fit(points, values, noise: float | None = None, seed: int = 0) -> GpPosterior:
@@ -467,8 +530,7 @@ def gp_fit(points, values, noise: float | None = None, seed: int = 0) -> GpPoste
         low, high = (np.array(b) for b in zip(*bounds))
         best_val = math.inf
         args = (x, y_std, noise, x[:, None, :] - x[None, :, :], np.eye(x.shape[0]))
-        for start in starts:
-            params, fun, _ = _lbfgsb_minimize(_neg_log_marginal, start, low, high, args)
+        for params, fun, _ in _lbfgsb_lockstep(_neg_log_marginal, starts, low, high, args):
             val = fun if math.isfinite(fun) else 1e9
             if val < best_val:
                 best_val = val
@@ -524,29 +586,34 @@ def _ei(mu, var, best_value):
 
 
 def _neg_ei_and_grad(u, gp: GpPosterior, best_value: float):
-    """-EI at one unit-cube point and its gradient, for the L-BFGS-B search.
+    """-EI and its gradient at each row of a stack of unit-cube points, for the L-BFGS-B search.
 
-    The value is computed by the code expected_improvement uses. The gradient
-    is Φ(z)·∂μ/∂u + φ(z)·∂σ/∂u where σ > 1e-12, else ∂μ/∂u while μ beats the
-    best value; ∂σ/∂u takes one extra triangular solve for K⁻¹k(X, u).
+    Returns the values (floats) and the gradients (rows). A value is what
+    expected_improvement gives for that point alone. The gradient is
+    Φ(z)·∂μ/∂u + φ(z)·∂σ/∂u where σ > 1e-12, else ∂μ/∂u while μ beats the
+    best value, else 0; ∂σ/∂u takes one extra triangular solve for
+    K⁻¹k(X, u). Each point's kernel column, solves and products keep the
+    shapes of its evaluation alone, so every row equals that evaluation bit
+    for bit.
     """
-    mu, var, k_star, v = gp._posterior(u[None, :])
-    ei, sigma, live, cdf, pdf = _ei(mu, var, best_value)
-    improve = float(mu[0]) - best_value
-    if not live[0] and improve <= 0.0:
-        return -float(ei[0]), np.zeros_like(u)
+    mu, var, _, v = gp._posterior(u[:, None, :])
+    ei, sigma, live, cdf, pdf = _ei(mu[:, 0], var[:, 0], best_value)
     # dk(x_a, u)/du = −sf·(5/3)(1 + √5 r_a)e^(−√5 r_a)·(u − x_a)/l²
-    delta = u - gp.x_train
-    r = np.sqrt(((delta / gp.lengthscales) ** 2).sum(axis=1))
+    delta = u[:, None, :] - gp.x_train
+    r = np.sqrt(((delta / gp.lengthscales) ** 2).sum(axis=2))
     radial = gp.signal_var * (5.0 / 3.0) * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r)
-    dk = -(radial[:, None] * delta) / gp.lengthscales**2
+    dk = -(radial[:, :, None] * delta) / gp.lengthscales**2
     dmu = gp.y_scale * (gp.alpha @ dk)
-    if not live[0]:
-        return -float(ei[0]), -dmu
-    _check_finite(v[:, 0])
-    k_inv_k = _solve_lower(gp.chol_lower, v[:, 0], trans=1, check_finite=False)
-    dsigma = -(gp.y_scale**2) * (k_inv_k @ dk) / sigma[0]
-    return -float(ei[0]), -(cdf[0] * dmu + pdf[0] * dsigma)
+    grads = -dmu
+    if cdf is not None:
+        on = slice(None) if cdf.size == len(u) else live
+        v = v[on, :, 0]
+        _check_finite(v)
+        k_inv_k = np.array([_solve_lower(gp.chol_lower, col, trans=1, check_finite=False) for col in v])
+        dsigma = -(gp.y_scale**2) * (k_inv_k[:, None, :] @ dk[on])[:, 0] / sigma[on, None]
+        grads[on] = -(cdf[:, None] * dmu[on] + pdf[:, None] * dsigma)
+    grads[~live & (mu[:, 0] - best_value <= 0.0)] = 0.0  # EI is 0 around these points
+    return (-ei).tolist(), grads
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +666,7 @@ def propose_next(state: BoState, space: SearchSpace, restarts: int = 10) -> dict
     best_u = None
     best_ei = -math.inf
     low, high = np.zeros(d), np.ones(d)
-    for start in starts:
-        u, _, _ = _lbfgsb_minimize(_neg_ei_and_grad, start, low, high, (gp, best_value))
+    for u, _, _ in _lbfgsb_lockstep(_neg_ei_and_grad, starts, low, high, (gp, best_value)):
         u = np.clip(u, 0.0, 1.0)
         ei = expected_improvement(gp, u, best_value)
         if ei > best_ei:

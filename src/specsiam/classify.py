@@ -455,41 +455,57 @@ class SmoSvmClassifier:
         return _require_finite(np.exp(-self.gamma * np.maximum(d2, 0.0)), "svm: rbf kernel")
 
     def fit(self, x, y):
+        """Simplified SMO (Platt 1998): each KKT violator is paired with a random second index.
+
+        The loop runs on Python floats (alphas, labels, the kernel entries it
+        reads) and keeps alphas·s as an array for each error's dot product
+        with a kernel column; s is ±1, so every entry of alphas·s is exact.
+        The clip mirrors np.clip, a NaN included.
+        """
         x, y = _check_training(x, y, require_both_classes=True)
         s = np.where(y == 1, 1.0, -1.0)
         n = x.shape[0]
         k = self._gram(x, x)
-        alphas = np.zeros(n)
+        alphas = [0.0] * n
+        alpha_s = np.zeros(n) * s  # alphas·s, kept in step with alphas
+        labels = s.tolist()
+        columns = [k[:, i] for i in range(n)]
+        k_diag = k.diagonal().tolist()
         b = 0.0
         rng = np.random.default_rng(self.seed)
         c, tol = self.c, SVM_TOL
         for _ in range(SVM_MAX_PASSES):
             changed = 0
             for i in range(n):
-                err_i = float(alphas * s @ k[:, i]) + b - s[i]
-                if not ((s[i] * err_i < -tol and alphas[i] < c) or (s[i] * err_i > tol and alphas[i] > 0)):
+                si, ai_old = labels[i], alphas[i]
+                err_i = float(alpha_s @ columns[i]) + b - si
+                if not ((si * err_i < -tol and ai_old < c) or (si * err_i > tol and ai_old > 0)):
                     continue
                 j = int(rng.integers(n - 1))
                 if j >= i:
                     j += 1
-                err_j = float(alphas * s @ k[:, j]) + b - s[j]
-                ai_old, aj_old = alphas[i], alphas[j]
-                if s[i] != s[j]:
+                sj, aj_old = labels[j], alphas[j]
+                err_j = float(alpha_s @ columns[j]) + b - sj
+                if si != sj:
                     lo, hi = max(0.0, aj_old - ai_old), min(c, c + aj_old - ai_old)
                 else:
                     lo, hi = max(0.0, ai_old + aj_old - c), min(c, ai_old + aj_old)
                 if lo >= hi:
                     continue
-                eta = 2.0 * k[i, j] - k[i, i] - k[j, j]
+                k_ij = k.item(i, j)
+                eta = 2.0 * k_ij - k_diag[i] - k_diag[j]
                 if eta >= 0:
                     continue
-                aj = np.clip(aj_old - s[j] * (err_i - err_j) / eta, lo, hi)
+                aj = aj_old - sj * (err_i - err_j) / eta
+                if aj == aj:  # np.clip passes a NaN through
+                    aj = min(hi, max(lo, aj))
                 if abs(aj - aj_old) < 1e-5:
                     continue
-                ai = ai_old + s[i] * s[j] * (aj_old - aj)
-                b1 = b - err_i - s[i] * (ai - ai_old) * k[i, i] - s[j] * (aj - aj_old) * k[i, j]
-                b2 = b - err_j - s[i] * (ai - ai_old) * k[i, j] - s[j] * (aj - aj_old) * k[j, j]
+                ai = ai_old + si * sj * (aj_old - aj)
+                b1 = b - err_i - si * (ai - ai_old) * k_diag[i] - sj * (aj - aj_old) * k_ij
+                b2 = b - err_j - si * (ai - ai_old) * k_ij - sj * (aj - aj_old) * k_diag[j]
                 alphas[i], alphas[j] = ai, aj
+                alpha_s[i], alpha_s[j] = ai * si, aj * sj
                 if 0.0 < ai < c:
                     b = b1
                 elif 0.0 < aj < c:
@@ -499,7 +515,7 @@ class SmoSvmClassifier:
                 changed += 1
             if changed == 0:
                 break
-        self.x_train, self.s_train, self.alphas, self.b = x, s, alphas, b
+        self.x_train, self.s_train, self.alphas, self.b = x, s, np.array(alphas, dtype=np.float64), b
         return self
 
     def decision_function(self, x):

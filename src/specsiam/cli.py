@@ -27,8 +27,8 @@ from .errors import DataError, NumericalError
 from .evaluate import MetricsReport, PipelineConfig, write_json
 from .pairing import stats_from_labels
 from .siamese import NetConfig, extract_features, load_checkpoint, save_checkpoint
-from .signals import (Label, generate_synthetic_cohort, load_dataset, read_manifest, read_signal_csv,
-                      save_dataset)
+from .signals import (Label, channel_order, generate_synthetic_cohort, load_dataset, read_manifest,
+                      read_signal_csv, save_dataset)
 from .spectral import (StftConfig, compute_images, config_from_dict, config_to_dict, convert_value,
                        export_image_csv, export_image_pgm)
 
@@ -333,7 +333,12 @@ def _cmd_stft(args) -> int:
 def _cmd_pairs(args) -> int:
     entries = read_manifest(args.manifest)
     labels = {e["subject_id"]: Label(e["label"]) for e in entries}
-    names, _ = read_signal_csv(args.manifest, entries[0], header_only=True)
+    names = None
+    for entry in entries:  # every header, checked as load_dataset checks it
+        header, _ = read_signal_csv(args.manifest, entry, header_only=True)
+        if names is None:
+            names = header
+        channel_order(entry["subject_id"], header, names)
     stats = stats_from_labels(labels, len(names))
     n_case = sum(1 for v in labels.values() if v is Label.CASE)
     print(f"subjects: {len(labels)} (case {n_case} / control {len(labels) - n_case})")

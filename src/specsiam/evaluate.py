@@ -535,8 +535,9 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int, 
         train_table = fold_table.subset(train_ids)
         test_table = fold_table.subset([held])
         audit_no_leakage(held, (), train_table)
+        warning = None
         if config.clf_budget is not None:
-            spec, _ = tune_classifier(
+            spec, state = tune_classifier(
                 train_table,
                 clf_kind,
                 n_init=config.clf_budget[0],
@@ -544,20 +545,26 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int, 
                 seed=fold_seed,
                 k=config.tuning_k,
             )
+            if len(state.failures) == len(state.values):  # the best of all-zero scores is no choice
+                spec = default_spec(clf_kind)
+                warning = (f"fold {held}: classifier tuning: all {len(state.values)} evaluations failed, "
+                           f"the first with '{state.failures[0]['error']}'; fitted the default spec")
         elif config.clf_params is not None:
             spec = ClassifierSpec(clf_kind, config.clf_params)
         else:
             spec = default_spec(clf_kind)
         fitted = classify.fit(spec, train_table, seed=fold_seed)
         preds = fitted.predict(test_table.x)
-        return _fold_result(held, labels[held], preds, spec.params)
+        return _fold_result(held, labels[held], preds, spec.params), warning
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            folds = list(pool.map(run_fold, range(len(subjects))))
+            results = list(pool.map(run_fold, range(len(subjects))))
     else:
-        folds = [run_fold(i) for i in range(len(subjects))]
-    return compute_metrics(folds, pipeline_id=name), (model, trace, table)
+        results = [run_fold(i) for i in range(len(subjects))]
+    report = compute_metrics([fold for fold, _ in results], pipeline_id=name)
+    report.warnings.extend(warning for _, warning in results if warning is not None)
+    return report, (model, trace, table)
 
 
 def run_pipeline(

@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_CASE_PROFILE",
     "DEFAULT_CONTROL_PROFILE",
     "read_signal_csv",
+    "channel_order",
     "load_dataset",
     "save_dataset",
     "generate_synthetic_cohort",
@@ -294,6 +295,21 @@ def _parse_rows(body: str, names: tuple[str, ...], subject_id: str, path: Path) 
     return np.asarray(rows, dtype=np.float64)
 
 
+def channel_order(sid: str, names: tuple[str, ...], canonical: tuple[str, ...]) -> list[int] | None:
+    """The indices that put a subject's channels in canonical order, or None if they are in it.
+
+    DataError when the two name sets differ.
+    """
+    if names == canonical:
+        return None
+    if sorted(names) != sorted(canonical):
+        raise DataError(
+            f"subject '{sid}': channel-name mismatch: file has {list(names)}, "
+            f"canonical list is {list(canonical)}"
+        )
+    return [names.index(ch) for ch in canonical]
+
+
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load a cohort from a JSON manifest; signal CSV paths resolve relative to it.
 
@@ -309,13 +325,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         names, samples = read_signal_csv(path, entry)
         if canonical is None:
             canonical = names
-        elif names != canonical:
-            if sorted(names) != sorted(canonical):
-                raise DataError(
-                    f"subject '{sid}': channel-name mismatch: file has {list(names)}, "
-                    f"canonical list is {list(canonical)}"
-                )
-            order = [names.index(ch) for ch in canonical]
+        order = channel_order(sid, names, canonical)
+        if order is not None:
             samples = samples[order]
         recordings.append(
             EegRecording(

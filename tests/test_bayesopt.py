@@ -86,6 +86,21 @@ def oracle_ei(gp, xq, best_value):
     return np.maximum(ei, 0.0)
 
 
+def marginal_args(x, y_std, noise):
+    """_neg_log_marginal's arguments after the points, built as gp_fit builds them."""
+    return x, y_std, noise, x[:, None, :] - x[None, :, :], np.eye(x.shape[0])
+
+
+def one_point(fun):
+    """The single-point objective behind a batched one: its batch of one."""
+
+    def single(point, *args):
+        values, grads = fun(point[None, :], *args)
+        return values[0], grads[0]
+
+    return single
+
+
 class TestSpaceMappings:
     def test_continuous_round_trip(self):
         dim = Continuous("x", -2.0, 6.0)
@@ -235,7 +250,7 @@ class TestAnalyticGradients:
             if noise is None:
                 params.append(rng.uniform(math.log(1e-5), 0.0))
             params = np.array(params)
-            value, grad = bayesopt._neg_log_marginal(params, x, y_std, noise)
+            value, grad = one_point(bayesopt._neg_log_marginal)(params, *marginal_args(x, y_std, noise))
             assert value == oracle_neg_log_marginal(params, x, y_std, noise)
             fd = approx_fprime(params, oracle_neg_log_marginal, 1e-7, x, y_std, noise)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-5 * max(1.0, abs(value)))
@@ -247,7 +262,7 @@ class TestAnalyticGradients:
         checked = 0
         for best in (float(y.min()), float(np.median(y)), float(y.max())):
             for u in rng.random((8, 3)):
-                value, grad = bayesopt._neg_ei_and_grad(u, gp, best)
+                value, grad = one_point(bayesopt._neg_ei_and_grad)(u, gp, best)
                 assert -value == expected_improvement(gp, u, best)
                 if -value < 1e-6:  # EI underflows far below the best value
                     continue
@@ -266,7 +281,7 @@ class TestAnalyticGradients:
         for u in x[:4]:
             _, var = gp.predict(u)
             assert var[0] < 1e-9
-            value, grad = bayesopt._neg_ei_and_grad(u, gp, best)
+            value, grad = one_point(bayesopt._neg_ei_and_grad)(u, gp, best)
             assert -value == expected_improvement(gp, u, best)
             fd = approx_fprime(u, lambda q: -expected_improvement(gp, q, best), 1e-8)
             np.testing.assert_allclose(grad, fd, rtol=1e-3, atol=1e-5)
@@ -274,7 +289,7 @@ class TestAnalyticGradients:
     def test_ei_gradient_on_the_zero_sigma_branch(self):
         gp = gp_fit(np.array([[0.5]]), np.array([2.0]), noise=0.0)
         for best, ei in ((1.8, pytest.approx(0.2, abs=1e-9)), (2.0, 0.0)):
-            value, grad = bayesopt._neg_ei_and_grad(np.array([0.5]), gp, best)
+            value, grad = one_point(bayesopt._neg_ei_and_grad)(np.array([0.5]), gp, best)
             assert -value == ei
             assert grad.tolist() == [0.0]  # the mean is flat at its training point
 
@@ -291,22 +306,88 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+class TestBatchedObjectives:
+    """Each row of a batched objective equals its batch of one, bit for bit."""
+
+    @given(n=st.integers(1, 20), d=st.integers(1, 6), rows=st.integers(1, 12),
+           noise=st.sampled_from([None, 1e-4, -0.5]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_log_marginal_rows_equal_batches_of_one(self, n, d, rows, noise, seed):
+        # Log parameters over [-5, 5] reach near-singular covariances, and a
+        # negative fixed noise makes some rows unfactorable (1e9).
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, d))
+        if n > 2 and rng.random() < 0.3:
+            x[1] = x[0]
+        args = marginal_args(x, rng.standard_normal(n), noise)
+        points = rng.uniform(-5.0, 5.0, (rows, d + 1 + (noise is None)))
+        values, grads = bayesopt._neg_log_marginal(points, *args)
+        assert len(values) == rows and grads.shape == points.shape
+        for point, value, grad in zip(points, values, grads):
+            alone_values, alone_grads = bayesopt._neg_log_marginal(point[None, :], *args)
+            assert type(value) is float and repr(value) == repr(alone_values[0])
+            assert_same_bits(grad, alone_grads[0])
+
+    @given(n=st.integers(1, 20), d=st.integers(1, 6), rows=st.integers(1, 12),
+           interpolating=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_ei_rows_equal_batches_of_one(self, n, d, rows, interpolating, seed):
+        # Queries at training points of a near-interpolating GP take the σ ≈ 0
+        # branches; offsets of the best value take every branch of the gradient.
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, d))
+        y = rng.standard_normal(n)
+        gp = gp_fit(x, y, noise=1e-10 if interpolating else None, seed=1)
+        points = rng.random((rows, d))
+        points[: min(rows, n) // 2] = x[: min(rows, n) // 2]
+        for best in (float(y.max()), float(np.median(y)), float(y.max()) + 1.0, float(y.min()) - 1.0):
+            values, grads = bayesopt._neg_ei_and_grad(points, gp, best)
+            assert len(values) == rows and grads.shape == points.shape
+            for point, value, grad in zip(points, values, grads):
+                alone_values, alone_grads = bayesopt._neg_ei_and_grad(point[None, :], gp, best)
+                assert type(value) is float and repr(value) == repr(alone_values[0])
+                assert -value == expected_improvement(gp, point, best)
+                assert_same_bits(grad, alone_grads[0])
+
+
 def scipy_lbfgsb(fun, x0, lower, upper, args=()):
-    """The scipy call that bayesopt._lbfgsb_minimize stands for: final x, f and evaluation count."""
+    """The scipy call that each start of bayesopt._lbfgsb_lockstep stands for: final x, f and evaluation count."""
     res = sp_optimize.minimize(fun, x0, args=args, method="L-BFGS-B", jac=True, bounds=list(zip(lower, upper)))
     return res.x, res.fun, res.nfev
 
 
+def scipy_lockstep(fun, starts, lower, upper, args=()):
+    """bayesopt._lbfgsb_lockstep as one scipy run per start, each on the batch-of-one objective."""
+    return [scipy_lbfgsb(one_point(fun), start, lower, upper, args) for start in starts]
+
+
 class TestLbfgsbDriver:
-    """The direct L-BFGS-B driver against scipy.optimize.minimize, bit for bit."""
+    """The lockstep L-BFGS-B driver against scipy.optimize.minimize per start, bit for bit."""
 
     def assert_same_runs(self, fun, starts, lower, upper, args):
-        for start in starts:
-            x, f, nfev = bayesopt._lbfgsb_minimize(fun, start.copy(), lower, upper, args)
-            want_x, want_f, want_nfev = scipy_lbfgsb(fun, start.copy(), lower, upper, args)
+        """Every start through the driver at once, each equal to its own minimize run.
+
+        Returns the evaluation count of each start. Each objective call
+        evaluates every start that has not stopped, so there are as many
+        calls as the longest run has evaluations.
+        """
+        batches = []
+
+        def recorded(points, *a):
+            batches.append(len(points))
+            return fun(points, *a)
+
+        got = bayesopt._lbfgsb_lockstep(recorded, [start.copy() for start in starts], lower, upper, args)
+        assert len(got) == len(starts)
+        for (x, f, nfev), start in zip(got, starts):
+            want_x, want_f, want_nfev = scipy_lbfgsb(one_point(fun), start.copy(), lower, upper, args)
             assert_same_bits(x, want_x)
             assert type(f) is type(want_f) and repr(f) == repr(want_f)
             assert nfev == want_nfev
+        nfevs = [nfev for _, _, nfev in got]
+        assert len(batches) == max(nfevs) and sum(batches) == sum(nfevs)
+        assert batches == sorted(batches, reverse=True)  # a stopped start never comes back
+        return nfevs
 
     def marginal_bounds(self, d, fitted_noise):
         bounds = [(math.log(0.03), math.log(30.0))] * d + [(math.log(0.01), math.log(100.0))]
@@ -323,7 +404,9 @@ class TestLbfgsbDriver:
         starts = [np.array([math.log(0.3)] * 3 + [0.0] + [math.log(0.1)] * (noise is None))]
         starts += [rng.uniform(lower, upper) for _ in range(6)]
         starts.append(lower - 1.0)  # clipped to the lower corner
-        self.assert_same_runs(bayesopt._neg_log_marginal, starts, lower, upper, (x, y_std, noise))
+        nfevs = self.assert_same_runs(bayesopt._neg_log_marginal, starts, lower, upper,
+                                      marginal_args(x, y_std, noise))
+        assert len(set(nfevs)) > 1  # the starts stop at different rounds
 
     def test_log_marginal_runs_through_unfactorable_covariances_equal_minimize(self):
         # A negative fixed noise makes the covariance indefinite wherever the
@@ -335,13 +418,13 @@ class TestLbfgsbDriver:
 
         def recorded(params, *args):
             out = bayesopt._neg_log_marginal(params, *args)
-            values.append(out[0])
+            values.extend(out[0])
             return out
 
         rng = np.random.default_rng(13)
         starts = [np.array([math.log(0.3)] * 3 + [math.log(0.02)])]  # fails at the start
         starts += [rng.uniform(lower, upper) for _ in range(8)]
-        self.assert_same_runs(recorded, starts, lower, upper, (x, y_std, -0.5))
+        self.assert_same_runs(recorded, starts, lower, upper, marginal_args(x, y_std, -0.5))
         assert 1e9 in values and any(v != 1e9 for v in values)
 
     def test_ei_runs_on_and_outside_the_faces_equal_minimize(self):
@@ -354,13 +437,24 @@ class TestLbfgsbDriver:
         starts += [np.array([-0.3, 0.5, 1.4]), np.array([2.0, -1.0, 0.2])]  # outside: clipped
         starts.append(x[int(np.argmax(y))].copy())  # at the best training point
         for best in (float(y.max()), float(np.median(y))):
-            self.assert_same_runs(bayesopt._neg_ei_and_grad, starts, lower, upper, (gp, best))
+            nfevs = self.assert_same_runs(bayesopt._neg_ei_and_grad, starts, lower, upper, (gp, best))
+            assert len(set(nfevs)) > 1
+
+    def test_a_batch_of_one_runs_as_in_a_batch(self):
+        x, y = TestAnalyticGradients().data()
+        gp = gp_fit(x, y, seed=1)
+        lower, upper = np.zeros(3), np.ones(3)
+        starts = list(np.random.default_rng(15).random((5, 3)))
+        together = self.assert_same_runs(bayesopt._neg_ei_and_grad, starts, lower, upper, (gp, float(y.max())))
+        alone = [self.assert_same_runs(bayesopt._neg_ei_and_grad, [start], lower, upper, (gp, float(y.max())))[0]
+                 for start in starts]
+        assert alone == together
 
     def test_setulb_has_the_verified_signature(self):
         signature = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
         assert (_lbfgsb.setulb.__doc__ or "").strip().startswith(signature), (
             f"scipy {scipy.__version__} changed scipy.optimize._lbfgsb.setulb (verified on scipy 1.17.1): "
-            f"{_lbfgsb.setulb.__doc__!r}; bayesopt._lbfgsb_minimize must follow its _minimize_lbfgsb"
+            f"{_lbfgsb.setulb.__doc__!r}; bayesopt._lbfgsb_run must follow its _minimize_lbfgsb"
         )
 
 
@@ -448,7 +542,8 @@ class TestDirectLapack:
         assert jitter > 0.0
         assert_same_bits(lower, sp_linalg.cholesky(k + jitter * np.eye(3), lower=True))
         x = np.array([[0.1], [0.5], [0.9]])
-        value, grad = bayesopt._neg_log_marginal(np.log([0.3, 1.0]), x, np.array([-1.0, 0.0, 1.0]), -10.0)
+        value, grad = one_point(bayesopt._neg_log_marginal)(
+            np.log([0.3, 1.0]), *marginal_args(x, np.array([-1.0, 0.0, 1.0]), -10.0))
         assert value == 1e9 and grad.tolist() == [0.0, 0.0]
 
     def test_posterior_kernel_equals_the_unhoisted_kernel(self):
@@ -470,7 +565,10 @@ class TestDirectLapack:
             return [u.tolist() for u in state.unit_points], state.values, state.gp_hyperparams
 
         direct = run()
-        monkeypatch.setattr(bayesopt, "_cholesky", lambda a: sp_linalg.cholesky(a, lower=True))
+        monkeypatch.setattr(
+            bayesopt, "_cholesky",
+            lambda a, check_finite=True: sp_linalg.cholesky(a, lower=True, check_finite=check_finite),
+        )
         monkeypatch.setattr(
             bayesopt, "_cho_solve",
             lambda lower, b, check_finite=True: sp_linalg.cho_solve((lower, True), b, check_finite=check_finite),
@@ -481,7 +579,7 @@ class TestDirectLapack:
                 lower, b, lower=True, trans=trans, check_finite=check_finite),
         )
         assert run() == direct
-        monkeypatch.setattr(bayesopt, "_lbfgsb_minimize", scipy_lbfgsb)
+        monkeypatch.setattr(bayesopt, "_lbfgsb_lockstep", scipy_lockstep)
         assert run() == direct
 
 

@@ -77,6 +77,54 @@ def kkt_violation(model, x, y):
     return worst
 
 
+def oracle_smo_fit(model, x, y):
+    """SmoSvmClassifier.fit's loop as first written, on numpy arrays and scalars: (alphas, b)."""
+    s = np.where(y == 1, 1.0, -1.0)
+    n = x.shape[0]
+    k = model._gram(x, x)
+    alphas = np.zeros(n)
+    b = 0.0
+    rng = np.random.default_rng(model.seed)
+    c, tol = model.c, classify.SVM_TOL
+    for _ in range(classify.SVM_MAX_PASSES):
+        changed = 0
+        for i in range(n):
+            err_i = float(alphas * s @ k[:, i]) + b - s[i]
+            if not ((s[i] * err_i < -tol and alphas[i] < c) or (s[i] * err_i > tol and alphas[i] > 0)):
+                continue
+            j = int(rng.integers(n - 1))
+            if j >= i:
+                j += 1
+            err_j = float(alphas * s @ k[:, j]) + b - s[j]
+            ai_old, aj_old = alphas[i], alphas[j]
+            if s[i] != s[j]:
+                lo, hi = max(0.0, aj_old - ai_old), min(c, c + aj_old - ai_old)
+            else:
+                lo, hi = max(0.0, ai_old + aj_old - c), min(c, ai_old + aj_old)
+            if lo >= hi:
+                continue
+            eta = 2.0 * k[i, j] - k[i, i] - k[j, j]
+            if eta >= 0:
+                continue
+            aj = np.clip(aj_old - s[j] * (err_i - err_j) / eta, lo, hi)
+            if abs(aj - aj_old) < 1e-5:
+                continue
+            ai = ai_old + s[i] * s[j] * (aj_old - aj)
+            b1 = b - err_i - s[i] * (ai - ai_old) * k[i, i] - s[j] * (aj - aj_old) * k[i, j]
+            b2 = b - err_j - s[i] * (ai - ai_old) * k[i, j] - s[j] * (aj - aj_old) * k[j, j]
+            alphas[i], alphas[j] = ai, aj
+            if 0.0 < ai < c:
+                b = b1
+            elif 0.0 < aj < c:
+                b = b2
+            else:
+                b = 0.5 * (b1 + b2)
+            changed += 1
+        if changed == 0:
+            break
+    return alphas, b
+
+
 def oracle_column_split(xcol, y, mode):
     """Best split of one column: the per-feature argsort search trees used before presorting."""
     order = np.argsort(xcol, kind="stable")
@@ -346,6 +394,28 @@ class TestSvm:
     def test_single_class_rejected(self):
         with pytest.raises(DataError, match="single class"):
             SmoSvmClassifier().fit(np.zeros((3, 1)), np.zeros(3))
+
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    @pytest.mark.parametrize("n", [2, 8, 16, 128, 300])
+    def test_fit_equals_the_numpy_scalar_loop(self, n, kernel):
+        # The Python-float loop against the loop it replaced: the same alphas,
+        # b and model.json bytes for C and gamma from 1e-2 to 1e2 and feature
+        # scales from 1e-2 to 1e2, whose fits mix zero, interior and bound alphas.
+        rng = np.random.default_rng(n + len(kernel))
+        for case in range(4 if n <= 16 else 2):
+            x = rng.standard_normal((n, 1 + case)) * 10.0 ** rng.uniform(-2, 2)
+            y = rng.integers(0, 2, n)
+            y[:2] = [0, 1]
+            for c in (1e-2, float(10.0 ** rng.uniform(-1, 1)), 1e2):
+                gamma = float(10.0 ** rng.uniform(-2, 2))
+                model = SmoSvmClassifier(kernel=kernel, c=c, gamma=gamma, seed=case).fit(x, y)
+                want_alphas, want_b = oracle_smo_fit(model, x, y)
+                assert model.alphas.tobytes() == want_alphas.tobytes(), (case, c, gamma)
+                assert repr(model.b) == repr(float(want_b)), (case, c, gamma)
+                oracle = SmoSvmClassifier(kernel=kernel, c=c, gamma=gamma, seed=case)
+                oracle.x_train, oracle.s_train = model.x_train, model.s_train
+                oracle.alphas, oracle.b = want_alphas, want_b
+                assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(oracle))
 
 
 class TestRandomForest:

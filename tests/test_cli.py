@@ -162,6 +162,20 @@ class TestPairs:
         out = capsys.readouterr().out
         assert "channels: 2" in out and "total_pairs: 56" in out
 
+    def test_every_subjects_header_must_name_the_same_channels(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        assert main(["synth", "--cases", "2", "--controls", "2", "--channels", "2", "--duration-s", "2",
+                     "--rate", "64", "--seed", "1", "--out", str(cohort)]) == 0
+        path = cohort / "ctrl01.csv"
+        header, body = path.read_bytes().split(b"\r\n", 1)
+        assert header == b"ch00,ch01"
+        path.write_bytes(b"ch00,ch02\r\n" + body)
+        capsys.readouterr()
+        for argv in (["pairs", "stats"], ["loocv", "--pipeline", "FFT-NB"]):
+            assert main(argv + ["--manifest", manifest_of(cohort)]) == 2
+            err = capsys.readouterr().err
+            assert "subject 'ctrl01': channel-name mismatch: file has ['ch00', 'ch02']" in err, argv
+
 
 class TestTrainExtractClassify:
     def net_flags(self):

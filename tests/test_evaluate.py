@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from specsiam import evaluate
-from specsiam.classify import ClassifierKind, ClassifierSpec, LabeledFeatures
+from specsiam.classify import ClassifierKind, ClassifierSpec, LabeledFeatures, default_spec
 from specsiam.errors import DataError, NumericalError
 from specsiam.evaluate import (
     FoldResult,
@@ -276,6 +276,30 @@ class TestLoocv:
         report = loocv(ds, "FFT-kNN", config, seed=2)
         assert report.n_folds == 10
         assert all(f.clf_params.get("k") in range(2, 9) for f in report.folds)
+
+    def test_a_fold_whose_classifier_search_all_failed_fits_the_default_and_warns(self, monkeypatch):
+        # Only the fold holding out case00 fails every evaluation: it fits the
+        # default spec and names itself in the warnings; the other folds are
+        # those of the run without failures.
+        ds = micro_cohort(3, 3)
+        config = micro_config(clf_params=None, clf_budget=(2, 1), tuning_k=2)
+        clean = loocv(ds, "FFT-SVM", config, seed=2)
+        original = evaluate.kfold_classifier_objective
+
+        def failing_without_case00(table, spec, **kwargs):
+            if "case00" not in table.subject_ids:
+                raise ValueError("objective out of range")
+            return original(table, spec, **kwargs)
+
+        monkeypatch.setattr(evaluate, "kfold_classifier_objective", failing_without_case00)
+        report = loocv(ds, "FFT-SVM", config, seed=2)
+        assert report.folds[0].held_out_subject == "case00"
+        assert report.folds[0].clf_params == default_spec(ClassifierKind.SVM).params
+        assert report.folds[0].clf_params != clean.folds[0].clf_params
+        assert report.folds[1:] == clean.folds[1:]
+        assert not clean.warnings
+        assert report.warnings == ["fold case00: classifier tuning: all 3 evaluations failed, "
+                                   "the first with 'objective out of range'; fitted the default spec"]
 
 
 def noisy_table(n_subjects=12, n_channels=2, seed=0):
