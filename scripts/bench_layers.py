@@ -8,10 +8,11 @@ images) and the paper net (129x59 images, filters 8/16, k = 3, 5, 12, 96
 images), plus 2x2 max pooling forward and backward on the conv outputs. Each
 figure is the best of --repeats calls, in milliseconds, on one thread pinned
 to one CPU. The `path` column is the algorithm the network uses for the
-layer (fan-in C_in*k*k against DIRECT_CONV_MAX_FAN_IN). These are the layer
-oracles; the network runs them fused, which the block table times: the
-fused conv -> bias -> ReLU -> 2x2 pool forward (`_conv_block`) and its
-backward (`_conv_block_backward`, with dX for conv2 only) at the same shapes.
+layer (fan-in C_in*k*k against DIRECT_CONV_MAX_FAN_IN). This layer table
+times the per-layer reference forms of tests/oracles.py, which the network
+never calls. The block table times what the network runs: the fused
+conv -> bias -> ReLU -> 2x2 pool forward (`_conv_block`) and its backward
+(`_conv_block_backward`, with dX for conv2 only) at the same shapes.
 
 A second table times the stages behind the FFT baseline rows, best of
 --repeats calls in milliseconds: one default gradient-boosting fit (50 trees
@@ -46,10 +47,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
+import oracles as O  # noqa: E402
 from specsiam import bayesopt, classify, evaluate, signals  # noqa: E402
 from specsiam.pairing import PairBatch, PairExample  # noqa: E402
 from specsiam import siamese as S  # noqa: E402
@@ -75,13 +78,13 @@ def conv_rows(name, b, c_in, c_out, hw, k, repeats, rng):
     x = rng.standard_normal((b, c_in, *hw))
     w = rng.standard_normal((c_out, c_in, k, k))
     dout = rng.standard_normal((b, c_out, hw[0] - k + 1, hw[1] - k + 1))
-    _, fft_cache = S._fft_forward(x, w)
+    _, fft_cache = O._fft_forward(x, w)
     ops = [
-        ("fwd", (S._fft_forward, x, w), (S._direct_forward, x, w)),
-        ("dW", (S._fft_dw, fft_cache, dout, k), (S._direct_dw, x, dout, k)),
+        ("fwd", (O._fft_forward, x, w), (O._direct_forward, x, w)),
+        ("dW", (O._fft_dw, fft_cache, dout, k), (O._direct_dw, x, dout, k)),
     ]
     if c_in > 1:  # the network never needs dX of conv1
-        ops.append(("dX", (S._fft_dx, dout, w, x.shape), (S._direct_dx, dout, w, x.shape)))
+        ops.append(("dX", (O._fft_dx, dout, w, x.shape), (O._direct_dx, dout, w, x.shape)))
     path = "direct" if S._is_direct(w) else "fft"
     for op, fft_call, direct_call in ops:
         fft_ms = best_ms(*fft_call, repeats=repeats)
@@ -91,10 +94,10 @@ def conv_rows(name, b, c_in, c_out, hw, k, repeats, rng):
 
 
 def pool_rows(name, x, repeats):
-    out, cache = S._pool_forward(x)
+    out, cache = O._pool_forward(x)
     dout = np.ones_like(out)
-    fwd = best_ms(S._pool_forward, x, repeats=repeats)
-    bwd = best_ms(S._pool_backward, dout, cache, repeats=repeats)
+    fwd = best_ms(O._pool_forward, x, repeats=repeats)
+    bwd = best_ms(O._pool_backward, dout, cache, repeats=repeats)
     shape = "x".join(map(str, x.shape))
     print(f"| {name} | {shape} | pool | fwd {fwd:.1f} | bwd {bwd:.1f} |", flush=True)
 
@@ -157,7 +160,7 @@ def paper_batch(rng, n_channels=16, shape=(129, 59)):
         PairExample(f"s{a}", f"s{b}", ch, (a + b) % 2)
         for a, b in subject_pairs for ch in range(n_channels)
     )
-    return PairBatch(pairs, n_channels), images
+    return PairBatch(pairs), images
 
 
 def step_rows(repeats, rng):

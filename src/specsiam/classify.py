@@ -269,8 +269,11 @@ def _best_split(xt: np.ndarray, y: np.ndarray, rows: np.ndarray, features: np.nd
     if best is None:
         return None
     j, k = features[best], at[best]
-    threshold = 0.5 * (xt[j, rows[best, k]] + xt[j, rows[best, k + 1]])
-    return float(col_cost[best]), int(j), float(threshold)
+    lo, hi = float(xt[j, rows[best, k]]), float(xt[j, rows[best, k + 1]])
+    threshold = 0.5 * (lo + hi)
+    if not lo <= threshold < hi:  # rounded up to hi (adjacent floats) or overflowed
+        threshold = lo
+    return float(col_cost[best]), int(j), threshold
 
 
 def _column_minima(xs: np.ndarray, ys: np.ndarray, mode: str):
@@ -528,13 +531,12 @@ class SmoSvmClassifier:
 
 
 class RandomForestClassifier:
-    """Bagged Gini trees with sqrt(d) feature subsampling per split."""
+    """Bagged, fully grown Gini trees with sqrt(d) feature subsampling per split."""
 
-    def __init__(self, n_estimators: int = 10, max_depth: int | None = None, seed: int = 0):
+    def __init__(self, n_estimators: int = 10, seed: int = 0):
         if n_estimators < 1:
             raise DataError("n_estimators must be >= 1")
         self.n_estimators = n_estimators
-        self.max_depth = max_depth
         self.seed = seed
         self.trees: list[dict] = []
         self.n_features_ = None
@@ -547,7 +549,7 @@ class RandomForestClassifier:
             rng = np.random.default_rng(seq)
             idx = rng.integers(0, x.shape[0], x.shape[0])  # bootstrap of exactly n rows
             self.trees.append(
-                _build_tree(x[idx], y[idx], "gini", self.max_depth, rng, subsample_features=True)
+                _build_tree(x[idx], y[idx], "gini", None, rng, subsample_features=True)
             )
         return self
 
@@ -562,8 +564,7 @@ class RandomForestClassifier:
 class GradientBoostingClassifier:
     """Shrunken regression trees fit to logistic-loss gradients (residuals)."""
 
-    def __init__(self, n_estimators: int = 50, max_depth: int = 3,
-                 learning_rate: float = 0.1, seed: int = 0):
+    def __init__(self, n_estimators: int = 50, max_depth: int = 3, learning_rate: float = 0.1):
         if n_estimators < 1 or max_depth < 1:
             raise DataError("n_estimators and max_depth must be >= 1")
         if learning_rate <= 0:
@@ -571,7 +572,6 @@ class GradientBoostingClassifier:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.learning_rate = learning_rate
-        self.seed = seed
         self.f0 = 0.0
         self.trees: list[dict] = []
         self.train_loss_trace: list[float] = []
@@ -653,8 +653,9 @@ _MODEL_CLASSES = {
 
 
 def fit(spec: ClassifierSpec, train: LabeledFeatures, seed: int = 0):
-    """Train a classifier of the given spec on the feature table; its params are the model's keywords."""
-    seeded = {} if spec.kind in (ClassifierKind.KNN, ClassifierKind.NB) else {"seed": seed}
+    """Train a classifier of the given spec on the feature table; its params are the model's keywords,
+    and seed those of the kinds that draw at random (SVM and RF)."""
+    seeded = {"seed": seed} if spec.kind in (ClassifierKind.SVM, ClassifierKind.RF) else {}
     return _MODEL_CLASSES[spec.kind](**spec.params, **seeded).fit(train.x, train.y)
 
 
@@ -691,7 +692,7 @@ def model_to_dict(model) -> dict:
         return {
             "model": "rf",
             "n_estimators": model.n_estimators,
-            "max_depth": model.max_depth,
+            "max_depth": None,  # fully grown trees
             "seed": model.seed,
             "n_features": model.n_features_,
             "trees": model.trees,
@@ -702,7 +703,6 @@ def model_to_dict(model) -> dict:
             "n_estimators": model.n_estimators,
             "max_depth": model.max_depth,
             "learning_rate": model.learning_rate,
-            "seed": model.seed,
             "n_features": model.n_features_,
             "f0": model.f0,
             "trees": model.trees,

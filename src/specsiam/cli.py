@@ -178,7 +178,7 @@ def _add_pipeline_flags(parser) -> None:
     parser.add_argument("--pipeline", required=True, choices=list(evaluate.PIPELINES))
     parser.add_argument("--mode", choices=["paper", "strict"], default="paper")
     parser.add_argument("--tau", type=float, default=0.5)
-    parser.add_argument("--max-freq-hz", type=float, default=30.0)
+    parser.add_argument("--max-freq-hz", type=float, default=PipelineConfig.max_freq_hz)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--clf-init", type=int)
     parser.add_argument("--clf-acq", type=int)
@@ -243,8 +243,7 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--checkpoint", help="trained network checkpoint")
     group.add_argument("--fft", action="store_true", help="baseline spectrum features")
-    p.add_argument("--max-freq-hz", dest="max_freq_hz", type=float, default=30.0)
-    _add_config_flags(p, StftConfig)
+    p.add_argument("--max-freq-hz", dest="max_freq_hz", type=float, help="--fft only")
     p.add_argument("--out")
 
     p = sub.add_parser("tune-clf", help="Bayesian-optimize a classifier")
@@ -393,23 +392,17 @@ def _cmd_train_snn(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    if not args.fft and args.max_freq_hz is not None:
+        raise DataError("flag --max-freq-hz: it sets the --fft features, not a checkpoint's")
     out = _out_dir(args)
     dataset = load_dataset(args.manifest)
     if args.fft:
-        table = evaluate.fft_feature_table(dataset, args.max_freq_hz)
-        resolved: dict = {"fft": True, "max_freq_hz": args.max_freq_hz}
+        max_freq_hz = PipelineConfig.max_freq_hz if args.max_freq_hz is None else args.max_freq_hz
+        table = evaluate.fft_feature_table(dataset, max_freq_hz)
+        resolved: dict = {"fft": True, "max_freq_hz": max_freq_hz}
     else:
-        model, stft = load_checkpoint(args.checkpoint)
-        if stft is None:  # a version-1 checkpoint: flags, else defaults
-            _, (stft,) = _resolve_configs(args, StftConfig)
+        model, stft = load_checkpoint(args.checkpoint)  # the images it was trained on
         resolved = {"checkpoint": str(args.checkpoint), **config_to_dict(stft)}
-        for key, value in config_to_dict(stft).items():
-            passed = getattr(args, key)
-            if passed is not None and passed != value:
-                raise DataError(
-                    f"checkpoint {args.checkpoint} was trained on images with {key}={value!r}, "
-                    f"but --{key.replace('_', '-')} {passed!r} was passed"
-                )
         table = extract_features(model, dataset, compute_images(dataset, stft))
     table.to_csv(out / "features.csv")
     _write_run_manifest(out, "extract", resolved)

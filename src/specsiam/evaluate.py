@@ -272,7 +272,7 @@ def train_network(dataset: Dataset, train_ids, net: NetConfig, images, balance_s
     train_ds = dataset_subset(dataset, train_ids)
     pairs = build_pairs(train_ds, images)
     if balance_seed is not None:
-        pairs = balance_pairs(pairs, train_ds.n_channels, seed=balance_seed)
+        pairs = balance_pairs(pairs, seed=balance_seed)
     model = init_model(net, next(iter(images.values())).magnitudes.shape)
     model, trace = train(model, pairs, images)
     return model, trace, pairs

@@ -47,15 +47,10 @@ class PairBatch:
     """A slice of subject-pairs, each contributing one pair per channel."""
 
     pairs: tuple[PairExample, ...]
-    n_channels: int
 
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
-
-    @property
-    def n_subject_pairs(self) -> int:
-        return len(self.pairs) // self.n_channels
 
 
 def _pairs_from_labels(
@@ -86,39 +81,33 @@ def build_pairs(dataset: Dataset, images: dict) -> list[PairExample]:
     return _pairs_from_labels(list(dataset.subject_ids), dataset.labels(), dataset.n_channels)
 
 
-def _group_by_subject_pair(
-    pairs, n_channels: int
-) -> list[tuple[tuple[str, str], list[PairExample]]]:
+def _group_by_subject_pair(pairs) -> list[tuple[tuple[str, str], list[PairExample]]]:
+    """The pairs grouped by subject pair in order of first appearance; each group
+    must hold one pair of every channel index that occurs in the pairs."""
     groups: dict[tuple[str, str], list[PairExample]] = {}
     for p in pairs:
         groups.setdefault((p.subject_a, p.subject_b), []).append(p)
-    out = []
+    n_channels = len({p.channel_index for p in pairs})
     for key, members in groups.items():
         channels = sorted(p.channel_index for p in members)
-        if len(members) != n_channels or len(set(channels)) != len(channels):
+        if len(members) != n_channels or len(set(channels)) != n_channels:
             raise DataError(
                 f"incomplete channel group for subject pair {key}: "
                 f"channels {channels}, expected {n_channels} distinct"
             )
-        out.append((key, members))
-    return out
+    return list(groups.items())
 
 
-def batch_iter(
-    pairs,
-    n_channels: int,
-    subject_pairs_per_batch: int = 16,
-    shuffle_seed: int = 0,
-):
+def batch_iter(pairs, subject_pairs_per_batch: int = 16, shuffle_seed: int = 0):
     """Yield batches of whole subject-pair groups, shuffled at group granularity.
 
     Every subject-pair appears exactly once per epoch; the final batch may hold
     fewer groups. Shuffling is deterministic in shuffle_seed and never splits a
-    group, so each batch size is a multiple of n_channels.
+    group, so each batch size is a multiple of the channel count.
     """
     if subject_pairs_per_batch < 1:
         raise DataError("subject_pairs_per_batch must be >= 1")
-    groups = _group_by_subject_pair(pairs, n_channels)
+    groups = _group_by_subject_pair(pairs)
     rng = np.random.default_rng(shuffle_seed)
     order = rng.permutation(len(groups))
     for start in range(0, len(groups), subject_pairs_per_batch):
@@ -126,7 +115,7 @@ def batch_iter(
         members: list[PairExample] = []
         for gi in chunk:
             members.extend(groups[gi][1])
-        yield PairBatch(tuple(members), n_channels)
+        yield PairBatch(tuple(members))
 
 
 def stats_from_labels(labels: dict[str, Label], n_channels: int) -> dict[str, int]:
@@ -146,9 +135,9 @@ def stats_from_labels(labels: dict[str, Label], n_channels: int) -> dict[str, in
     }
 
 
-def balance_pairs(pairs, n_channels: int, seed: int = 0) -> list[PairExample]:
+def balance_pairs(pairs, seed: int = 0) -> list[PairExample]:
     """Subsample the majority neighbor class at subject-pair granularity."""
-    groups = _group_by_subject_pair(pairs, n_channels)
+    groups = _group_by_subject_pair(pairs)
     same = [g for g in groups if g[1][0].y == 1]
     diff = [g for g in groups if g[1][0].y == 0]
     if not same or not diff:

@@ -14,7 +14,7 @@ described above the layer primitives. Max pooling compares four strided views.
 The network runs each conv -> bias -> ReLU -> 2x2 pool as one fused block, a
 chunk of about UNFOLD_CHUNK_BYTES of images at a time, forward and backward,
 so neither the full-size conv output nor its gradient is ever built; the
-per-layer functions stay as the oracles the block is tested against.
+per-layer forms the blocks are tested against live in tests/oracles.py.
 
 A pair batch is run around its distinct (subject, channel) images. Stage 1
 (conv1 -> ReLU -> pool) comes before the first dropout mask, so it gives the
@@ -252,19 +252,19 @@ def _param_shapes(config: NetConfig, plan: _ShapePlan) -> dict[str, tuple[int, .
 # reused buffer rather than by scipy (which copies each input to pad it), and
 # outputs are cropped as views.
 #
-# Fused blocks (_conv_block, _conv_block_backward): the network calls none of
-# the per-layer oracles (_conv_forward, _conv_dw, _conv_dx, _pool_forward,
-# _pool_backward), which stay for the tests. Per chunk of images (an unfold chunk on the
-# direct path, a batch chunk of about the same size on the FFT path), forward
-# runs conv -> bias -> ReLU -> 2x2 pool and keeps only the pooled output, the
-# int8 winner of each quad and the positive mask; the FFT path also keeps the
-# chunk's input spectrum. Backward walks the same chunks: it scatters the
-# pooled gradient into one reused chunk-sized dz buffer and contracts it into
-# dW and, for conv2, dX; on the FFT path one rfft2 of dz serves both. This is
-# the producer-consumer fusion and tiling of Halide (Ragan-Kelley et al.
+# Fused blocks (_conv_block, _conv_block_backward): the network runs no
+# separate conv or pool layer (tests/oracles.py builds those from the same
+# kernels, as the blocks' references). Per chunk of images (an unfold chunk on
+# the direct path, a batch chunk of about the same size on the FFT path),
+# forward runs conv -> bias -> ReLU -> 2x2 pool and keeps only the pooled
+# output, the int8 winner of each quad and the positive mask; the FFT path also
+# keeps the chunk's input spectrum. Backward walks the same chunks: it scatters
+# the pooled gradient into one reused chunk-sized dz buffer and contracts it
+# into dW and, for conv2, dX; on the FFT path one rfft2 of dz serves both. This
+# is the producer-consumer fusion and tiling of Halide (Ragan-Kelley et al.
 # 2013) and the blocking of Georganas et al. (2018). At the paper batch (256
-# pairs over 432 images of 129x59) it cut the traced peak of one training
-# step from 0.42-0.72 GB to about 0.2 GB, with losses bit-identical.
+# pairs over 432 images of 129x59) it cut the traced peak of one training step
+# from 0.42-0.72 GB to about 0.2 GB, with losses bit-identical.
 
 DIRECT_CONV_MAX_FAN_IN = 100
 # The direct path unfolds a few images at a time so that their windows stay in
@@ -276,60 +276,6 @@ UNFOLD_CHUNK_BYTES = 1 << 20
 def _is_direct(w) -> bool:
     _, c_in, k, _ = w.shape
     return c_in * k * k <= DIRECT_CONV_MAX_FAN_IN
-
-
-def _conv_forward(x, w, bias):
-    """Returns the conv output plus the cache its backward pass needs."""
-    if _is_direct(w):
-        out, cache = _direct_forward(x, w), x
-    else:
-        out, cache = _fft_forward(x, w)
-    out += bias[None, :, None, None]
-    return out, cache
-
-
-def _conv_dw(cache, dout, w):
-    k = w.shape[2]
-    return _direct_dw(cache, dout, k) if _is_direct(w) else _fft_dw(cache, dout, k)
-
-
-def _conv_dx(dout, w, x_shape):
-    return (_direct_dx if _is_direct(w) else _fft_dx)(dout, w, x_shape)
-
-
-def _direct_forward(x, w):
-    b = x.shape[0]
-    n_out, _, k, _ = w.shape
-    ho, wo = x.shape[2] - k + 1, x.shape[3] - k + 1
-    w2 = w.reshape(n_out, -1)
-    out = np.empty((b, n_out, ho * wo))
-    for part, cols in _unfolded(x, k):
-        np.matmul(w2, cols, out=out[part])
-    return out.reshape(b, n_out, ho, wo)
-
-
-def _direct_dw(x, dout, k):
-    b, n_out = dout.shape[:2]
-    d3 = dout.reshape(b, n_out, -1)
-    dw = 0.0
-    for part, cols in _unfolded(x, k):
-        dw = dw + np.matmul(d3[part], cols.transpose(0, 2, 1)).sum(axis=0)
-    return dw.reshape(n_out, x.shape[1], k, k)
-
-
-def _direct_dx(dout, w, x_shape):
-    b, c, h, wd = x_shape
-    n_out, _, k, _ = w.shape
-    ho, wo = h - k + 1, wd - k + 1
-    w2t = w.reshape(n_out, -1).T
-    d3 = dout.reshape(b, n_out, ho * wo)
-    dx = np.zeros(x_shape)
-    step = _unfold_step(c, k, ho, wo)
-    buf = np.empty((min(step, b), c * k * k, ho * wo))
-    for lo in range(0, b, step):
-        part = d3[lo : lo + step]
-        _add_windows(dx[lo : lo + step], np.matmul(w2t, part, out=buf[: part.shape[0]]), k)
-    return dx
 
 
 def _add_windows(dx, dcols, k):
@@ -415,12 +361,6 @@ def _fft_chunks(x, w, step):
         yield part, xf, out[:, :, : h - k + 1, : wd - k + 1]
 
 
-def _fft_forward(x, w):
-    """Returns the conv output plus the cached input spectrum for backward."""
-    ((_, xf, out),) = _fft_chunks(x, w, x.shape[0])
-    return out, (xf, x.shape[2:], _fft_plane(*x.shape[2:]))
-
-
 def _fft_dw_planes(df, xf):
     """dwf[o, c] = sum_b conj(df)[b, o] * xf[b, c]: contracts the batch axis."""
     return _plane_matmul(df.conj().transpose(1, 0, 2, 3), xf.transpose(1, 0, 2, 3))
@@ -432,23 +372,6 @@ def _fft_dx_planes(df, wf, plane, x_hw):
     return dx[:, :, : x_hw[0], : x_hw[1]]
 
 
-def _padded_rfft2(x, plane):
-    ((_, xp),) = _padded(x, plane, x.shape[0])
-    return sp_fft.rfft2(xp, workers=-1)
-
-
-def _fft_dw(fft_cache, dout, k):
-    xf, _, plane = fft_cache
-    dwf = _fft_dw_planes(_padded_rfft2(dout, plane), xf)
-    return sp_fft.irfft2(dwf, s=plane, workers=-1)[:, :, :k, :k]
-
-
-def _fft_dx(dout, w, x_shape):
-    plane = _fft_plane(*x_shape[2:])
-    wf = sp_fft.rfft2(w, s=plane, workers=-1)
-    return _fft_dx_planes(_padded_rfft2(dout, plane), wf, plane, x_shape[2:])
-
-
 def _pool_quads(x):
     """The four corners of every 2x2 quad as strided views, in row-major order.
 
@@ -456,14 +379,6 @@ def _pool_quads(x):
     """
     h2, w2 = x.shape[2] // 2, x.shape[3] // 2
     return [x[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
-
-
-def _pool_forward(x):
-    """2x2 max pooling; the cache holds each quad's winner as an int8 in 0..3."""
-    out = np.empty((*x.shape[:2], x.shape[2] // 2, x.shape[3] // 2))
-    idx = np.empty(out.shape, dtype=np.int8)
-    _pool_into(x, out, idx)
-    return out, (idx, x.shape)
 
 
 def _pool_into(x, out, idx):
@@ -483,14 +398,6 @@ def _pool_into(x, out, idx):
     lower = (bottom > top).view(np.int8)
     np.multiply(lower, np.int8(2) + right_bottom - right_top, out=idx)
     idx += right_top
-
-
-def _pool_backward(dout, cache):
-    """Scatters each quad's gradient to its winner; every other entry is 0."""
-    idx, x_shape = cache
-    dx = np.empty(x_shape)
-    _unpool_into(dx, dout, idx)
-    return dx
 
 
 def _unpool_into(dx, dout, idx):
@@ -858,7 +765,6 @@ def train(model: SiameseModel, pairs, images):
     if not pairs:
         raise DataError("cannot train on an empty pair list")
     cfg = model.config
-    n_channels = _infer_channel_count(pairs)
     adam_m = {k: np.zeros_like(v) for k, v in model.params().items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params().items()}
     step = 0
@@ -868,7 +774,7 @@ def train(model: SiameseModel, pairs, images):
         shuffle_seed = np.random.SeedSequence([cfg.seed, epoch]).generate_state(1)[0]
         total_loss = 0.0
         total_pairs = 0
-        for batch_index, batch in enumerate(batch_iter(pairs, n_channels, shuffle_seed=shuffle_seed)):
+        for batch_index, batch in enumerate(batch_iter(pairs, shuffle_seed=shuffle_seed)):
             arrays = _batch_arrays(batch, images)
             masks = sample_dropout_masks(model, batch.n_pairs) if use_dropout else None
             loss, grads = _loss_and_grads(model, *arrays, masks)
@@ -888,11 +794,6 @@ def train(model: SiameseModel, pairs, images):
             total_pairs += batch.n_pairs
         trace.append(total_loss / total_pairs)
     return model, trace
-
-
-def _infer_channel_count(pairs) -> int:
-    first = (pairs[0].subject_a, pairs[0].subject_b)
-    return sum(1 for p in pairs if (p.subject_a, p.subject_b) == first)
 
 
 def extract_features(model: SiameseModel, dataset: Dataset, images) -> LabeledFeatures:
@@ -964,13 +865,13 @@ def save_checkpoint(model: SiameseModel, stft: StftConfig, path: str | Path) -> 
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_checkpoint(path: str | Path) -> tuple[SiameseModel, StftConfig | None]:
-    """Reads a checkpoint written by save_checkpoint: (model, spectral config).
+def load_checkpoint(path: str | Path) -> tuple[SiameseModel, StftConfig]:
+    """Reads a checkpoint written by save_checkpoint: (model, the spectral
+    config its images were made with).
 
-    A version-1 checkpoint holds no spectral config, so None stands for it;
-    its config key 'distance' must be 'cosine', the only distance left. Any
-    defect (an unknown or missing field, a missing or misshaped tensor, a bad
-    rng state) raises DataError naming the file and the field.
+    Only version 2 is read: version 1 held no spectral config. Any defect
+    (an unknown or missing field, a missing or misshaped tensor, a bad rng
+    state) raises DataError naming the file and the field.
     """
     path = Path(path)
     if not path.is_file():
@@ -981,12 +882,13 @@ def load_checkpoint(path: str | Path) -> tuple[SiameseModel, StftConfig | None]:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a siamese checkpoint")
-    version = payload.get("version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
-        raise DataError(f"unsupported checkpoint version {version}")
 
     def bad(what: str) -> DataError:
         return DataError(f"checkpoint {path}: {what}")
+
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise bad(f"unsupported version {version!r}; this program reads version {CHECKPOINT_VERSION}")
 
     def section(name: str, kind: type):
         if name not in payload:
@@ -995,16 +897,14 @@ def load_checkpoint(path: str | Path) -> tuple[SiameseModel, StftConfig | None]:
             raise bad(f"field '{name}' must be a JSON {'object' if kind is dict else 'array'}")
         return payload[name]
 
-    raw_config = dict(section("config", dict))
-    if version == 1 and raw_config.pop("distance", "cosine") != "cosine":
-        raise bad("config key 'distance' must be 'cosine'")
-    raw_stft = section("stft", dict) if version > 1 else None
+    raw_config = section("config", dict)
+    raw_stft = section("stft", dict)
     raw_shape = section("input_shape", list)
     if len(raw_shape) != 2 or not all(type(n) is int and n > 0 for n in raw_shape):
         raise bad(f"field 'input_shape' must hold two positive integers, got {raw_shape}")
     try:
         config = config_from_dict(NetConfig, raw_config, "config")
-        stft = config_from_dict(StftConfig, raw_stft, "stft") if raw_stft is not None else None
+        stft = config_from_dict(StftConfig, raw_stft, "stft")
         plan = _plan_shapes(config, tuple(raw_shape))
     except DataError as exc:
         raise bad(str(exc)) from exc

@@ -74,6 +74,17 @@ def oracle_neg_log_marginal(log_params, x, y_std, fixed_noise):
     return -lml
 
 
+def dense_neg_log_marginal(log_params, x, y_std, fixed_noise):
+    """The objective from the loop-built kernel and scipy's cho_factor/cho_solve,
+    sharing no code with bayesopt beyond the noise floor."""
+    n, d = x.shape
+    sn = fixed_noise if fixed_noise is not None else max(math.exp(log_params[d + 1]), bayesopt.NOISE_FLOOR)
+    k = oracle_matern52(x, x, np.exp(log_params[:d]), math.exp(log_params[d])) + (sn + 1e-12) * np.eye(n)
+    factor = sp_linalg.cho_factor(k, lower=True)
+    alpha = sp_linalg.cho_solve(factor, y_std)
+    return 0.5 * float(y_std @ alpha) + float(np.log(np.diag(factor[0])).sum()) + 0.5 * n * math.log(2.0 * math.pi)
+
+
 def oracle_ei(gp, xq, best_value):
     """EI through scipy.stats.norm, as expected_improvement computed it before."""
     mu, var = gp.predict(xq)
@@ -254,6 +265,26 @@ class TestAnalyticGradients:
             assert value == oracle_neg_log_marginal(params, x, y_std, noise)
             fd = approx_fprime(params, oracle_neg_log_marginal, 1e-7, x, y_std, noise)
             np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-5 * max(1.0, abs(value)))
+
+    @pytest.mark.parametrize("noise", [None, 1e-4], ids=["fitted-noise", "fixed-noise"])
+    @pytest.mark.parametrize("n, d", [(18, 3), (18, 6), (55, 3), (55, 6)])
+    def test_log_marginal_matches_a_dense_cholesky_beyond_nine_points(self, n, d, noise):
+        # n = 55, d = 6 is the network search space at its default budget
+        x, y = self.data(n, d, seed=n + d)
+        y_std = (y - y.mean()) / y.std()
+        rng = np.random.default_rng(10 * n + d)
+        h = 1e-6
+        for _ in range(4):
+            params = [*rng.uniform(math.log(0.05), math.log(3.0), d), rng.uniform(-2.0, 2.0)]
+            if noise is None:
+                params.append(rng.uniform(math.log(1e-5), 0.0))
+            params = np.array(params)
+            value, grad = one_point(bayesopt._neg_log_marginal)(params, *marginal_args(x, y_std, noise))
+            assert value == pytest.approx(dense_neg_log_marginal(params, x, y_std, noise), rel=1e-12, abs=0.0)
+            central = [(dense_neg_log_marginal(params + h * e, x, y_std, noise)
+                        - dense_neg_log_marginal(params - h * e, x, y_std, noise)) / (2.0 * h)
+                       for e in np.eye(params.size)]
+            np.testing.assert_allclose(grad, central, rtol=1e-4, atol=1e-5 * max(1.0, abs(value)))
 
     def test_ei_value_is_expected_improvement_and_gradient_matches_finite_differences(self):
         x, y = self.data()

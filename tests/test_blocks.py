@@ -13,19 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import _conv_dw, _conv_dx, _conv_forward, _pool_backward, _pool_forward
 from specsiam import siamese
-from specsiam.siamese import (
-    _conv_block,
-    _conv_block_backward,
-    _conv_dw,
-    _conv_dx,
-    _conv_forward,
-    _fft_step,
-    _is_direct,
-    _padded,
-    _pool_backward,
-    _pool_forward,
-)
+from specsiam.siamese import _conv_block, _conv_block_backward, _fft_step, _is_direct, _padded
 
 
 def oracle_block(x, w, bias, pool):

@@ -257,15 +257,49 @@ class TestTreeSplits:
         specs = [
             (GradientBoostingClassifier, {"n_estimators": 20, "max_depth": 3, "learning_rate": 0.1}),
             (GradientBoostingClassifier, {"n_estimators": 5, "max_depth": 7, "learning_rate": 0.05}),
-            (RandomForestClassifier, {"n_estimators": 6}),
-            (RandomForestClassifier, {"n_estimators": 3, "max_depth": 2}),
+            (RandomForestClassifier, {"n_estimators": 6, "seed": 3}),
         ]
         for cls, params in specs:
-            got = json.dumps(model_to_dict(cls(seed=3, **params).fit(x, y)))
+            got = json.dumps(model_to_dict(cls(**params).fit(x, y)))
             with monkeypatch.context() as patch:
                 patch.setattr(classify, "_build_tree", oracle_build_tree)
-                want = json.dumps(model_to_dict(cls(seed=3, **params).fit(x, y)))
+                want = json.dumps(model_to_dict(cls(**params).fit(x, y)))
             assert got == want, (cls.__name__, params)
+
+
+# Two values per table whose midpoint rounds up to the larger one (adjacent
+# floats) or overflows to -inf; labels follow the value.
+THRESHOLD_TABLES = {
+    "adjacent-floats": np.array([1.0000000000000002, 1.0000000000000002, 1.0000000000000004, 1.0000000000000004]),
+    "overflowing-midpoint": np.array([-1.7976931348623157e308, -9.9792015476736e+291,
+                                      -1.7976931348623157e308, -9.9792015476736e+291]),
+}
+
+
+@pytest.mark.parametrize("kind", [ClassifierKind.RF, ClassifierKind.XGB], ids=["rf", "xgb"])
+@pytest.mark.parametrize("name", THRESHOLD_TABLES)
+def test_split_threshold_separates_its_rows(name, kind):
+    column = THRESHOLD_TABLES[name]
+    lo, hi = np.unique(column)
+    y = (column == hi).astype(np.int64)
+    table = LabeledFeatures(tuple(f"s{i}" for i in range(4)), (0,) * 4, column[:, None], y)
+    model = fit(default_spec(kind), table)
+    thresholds, leaves = [], []
+
+    def walk(node):
+        if "leaf" in node:
+            leaves.append(node["leaf"])
+        else:
+            thresholds.append(node["threshold"])
+            walk(node["left"])
+            walk(node["right"])
+
+    for tree in model.trees:
+        walk(tree)
+    assert thresholds and all(lo <= t < hi for t in thresholds)
+    assert all(math.isfinite(v) for v in leaves)
+    assert (model.predict(table.x) == y).all()
+    json.dumps(model_to_dict(model), allow_nan=False)
 
 
 class TestKnn:

@@ -197,8 +197,7 @@ class TestTrainExtractClassify:
 
         extract_out = tmp_path / "features"
         code = main(["extract", "--manifest", manifest_of(synth_dir), "--checkpoint",
-                     str(ckpt), "--window-s", "2", "--hop-s", "1", "--upper-value", "150",
-                     "--out", str(extract_out)])
+                     str(ckpt), "--out", str(extract_out)])
         assert code == 0
         table = LabeledFeatures.from_csv(extract_out / "features.csv")
         assert table.n_rows == 16
@@ -320,11 +319,12 @@ class TestConfigFlags:
                 assert matching[0].option_strings == ["--" + f.name.replace("_", "-")]
         assert not [a for a in actions if "--distance" in a.option_strings]
 
-    def test_extract_and_stft_take_only_spectral_flags(self):
-        for command in ("extract", "stft"):
-            dests = {a.dest for a in subcommand(command)._actions}
-            assert {f.name for f in fields(StftConfig)} <= dests
-            assert not {f.name for f in fields(NetConfig)} & dests
+    def test_stft_takes_only_spectral_flags_and_extract_none(self):
+        stft_dests = {a.dest for a in subcommand("stft")._actions}
+        assert {f.name for f in fields(StftConfig)} <= stft_dests
+        assert not {f.name for f in fields(NetConfig)} & stft_dests
+        extract_dests = {a.dest for a in subcommand("extract")._actions}
+        assert not {f.name for f in fields(StftConfig) + fields(NetConfig)} & extract_dests
 
     @pytest.mark.parametrize("flag, value", [("--pooling", "avg"), ("--window-fn", "blackman"),
                                              ("--distance", "cosine")])
@@ -646,39 +646,59 @@ class TestCheckpointSpectralConfig:
                      "--upper-value", "150", "--out", str(out)] + self.NET) == 0
         return out / "checkpoint.json"
 
-    def extract(self, synth_dir, ckpt, out, *flags):
+    def extract(self, synth_dir, ckpt, out):
         code, err = run_main(["extract", "--manifest", manifest_of(synth_dir), "--checkpoint", str(ckpt),
-                              "--out", str(out), *flags])
+                              "--out", str(out)])
         assert code == 0, err
         return (out / "features.csv").read_bytes()
 
     def test_plain_extract_uses_the_checkpoint_config(self, synth_dir, trained, tmp_path):
-        plain = self.extract(synth_dir, trained, tmp_path / "plain")
-        explicit = self.extract(synth_dir, trained, tmp_path / "explicit",
-                                "--window-s", "2", "--hop-s", "1", "--upper-value", "150")
-        assert plain == explicit
+        self.extract(synth_dir, trained, tmp_path / "plain")
         manifest = json.loads((tmp_path / "plain" / "run_manifest.json").read_text())
         assert manifest["resolved"]["upper_value"] == 150.0
 
-        # version 1 held no spectral config: extract takes flags, else defaults
+    def test_version_1_checkpoint_is_data_error(self, synth_dir, trained, tmp_path):
+        # version 1 held no spectral config, so nothing says which images it takes
         v1 = tmp_path / "v1.json"
         payload = json.loads(trained.read_text())
         payload.pop("stft")
         payload.update(version=1)
         payload["config"]["distance"] = "cosine"
         v1.write_text(json.dumps(payload))
-        assert self.extract(synth_dir, v1, tmp_path / "v1_flags", "--upper-value", "150") == plain
-        assert self.extract(synth_dir, v1, tmp_path / "v1_plain") != plain
+        code, err = run_main(["extract", "--manifest", manifest_of(synth_dir), "--checkpoint", str(v1),
+                              "--out", str(tmp_path / "v1")])
+        assert code == 2 and "Traceback" not in err
+        assert str(v1) in err and "unsupported version 1" in err
+        assert not (tmp_path / "v1" / "features.csv").exists()
 
-    @pytest.mark.parametrize("flag, value, field",
-                             [("--window-s", "3", "window_s"), ("--upper-value", "300", "upper_value"),
-                              ("--window-fn", "hann", "window_fn"), ("--hop-s", "0.5", "hop_s")])
-    def test_conflicting_flag_is_data_error(self, synth_dir, trained, tmp_path, flag, value, field):
-        code, err = run_main(["extract", "--manifest", manifest_of(synth_dir), "--checkpoint",
-                              str(trained), flag, value, "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "Traceback" not in err
-        assert str(trained) in err and field in err and flag in err
+    @pytest.mark.parametrize("route", ["--checkpoint", "--fft"])
+    @pytest.mark.parametrize("flag, value", [("--window-s", "3"), ("--upper-value", "300"),
+                                             ("--window-fn", "hann"), ("--hop-s", "0.5")])
+    def test_spectral_flag_is_usage_error(self, synth_dir, tmp_path, flag, value, route):
+        # parsing fails before the checkpoint would be read
+        source = [route, str(tmp_path / "checkpoint.json")] if route == "--checkpoint" else [route]
+        code, err = run_main(["extract", "--manifest", manifest_of(synth_dir), *source, flag, value,
+                              "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_max_freq_hz_with_a_checkpoint_is_data_error(self, synth_dir, trained, tmp_path):
+        code, err = run_main(["extract", "--manifest", manifest_of(synth_dir), "--checkpoint", str(trained),
+                              "--max-freq-hz", "30", "--out", str(tmp_path / "x")])
+        assert code == 2 and "Traceback" not in err
+        assert "flag --max-freq-hz" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_fft_without_max_freq_hz_takes_the_pipeline_default(self, synth_dir, tmp_path):
+        for out, flags in ((tmp_path / "default", []), (tmp_path / "explicit", ["--max-freq-hz", "30"])):
+            code, err = run_main(["extract", "--manifest", manifest_of(synth_dir), "--fft", *flags,
+                                  "--out", str(out)])
+            assert code == 0, err
+        for name in ("features.csv", "run_manifest.json"):
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+        manifest = json.loads((tmp_path / "default" / "run_manifest.json").read_text())
+        assert manifest["resolved"] == {"fft": True, "max_freq_hz": 30.0}
 
 
 # Hypothesis fuzzing of the --config and checkpoint ingest paths: any JSON

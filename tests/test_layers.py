@@ -1,5 +1,8 @@
 """Convolution and pooling kernels of the twin network, pinned to their oracles.
 
+The layers under test are the per-layer forms of tests/oracles.py, built from
+the network's kernels.
+
 Each convolution op has a direct and an FFT implementation; both are forced
 here on the same inputs and must agree to 1e-12 relative. The strided max-pool
 must match the argmax-over-quads implementation it replaced bit for bit,
@@ -9,10 +12,7 @@ outputs and gradients, ties included.
 import numpy as np
 import pytest
 
-from specsiam import siamese
-from specsiam.siamese import (
-    DIRECT_CONV_MAX_FAN_IN,
-    KERNEL_SIZES,
+from oracles import (
     _conv_dw,
     _conv_dx,
     _conv_forward,
@@ -22,10 +22,11 @@ from specsiam.siamese import (
     _fft_dw,
     _fft_dx,
     _fft_forward,
-    _is_direct,
     _pool_backward,
     _pool_forward,
 )
+from specsiam import siamese
+from specsiam.siamese import DIRECT_CONV_MAX_FAN_IN, KERNEL_SIZES, _is_direct
 
 
 def rel_err(a, b):

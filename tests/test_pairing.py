@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -127,33 +128,33 @@ class TestBatchIter:
 
     def test_batch_count_84_subjects(self):
         pairs = self.build(84, 1)
-        batches = list(batch_iter(pairs, 1, subject_pairs_per_batch=16, shuffle_seed=0))
-        # 3486 subject pairs -> 217 full batches of 16 plus one of 14
+        batches = list(batch_iter(pairs, subject_pairs_per_batch=16, shuffle_seed=0))
+        # 3486 subject pairs -> 217 full batches of 16 plus one of 14, one pair each
         assert len(batches) == 218
-        assert [b.n_subject_pairs for b in batches[:-1]] == [16] * 217
-        assert batches[-1].n_subject_pairs == 14
+        assert [b.n_pairs for b in batches[:-1]] == [16] * 217
+        assert batches[-1].n_pairs == 14
 
     def test_full_batch_is_16_times_channels(self):
         pairs = self.build(33, 16)  # 528 subject pairs
-        batches = list(batch_iter(pairs, 16, subject_pairs_per_batch=16, shuffle_seed=1))
+        batches = list(batch_iter(pairs, subject_pairs_per_batch=16, shuffle_seed=1))
         assert batches[0].n_pairs == 256
         assert all(b.n_pairs % 16 == 0 for b in batches)
 
     def test_single_pair_single_batch(self):
         pairs = self.build(2, 1)
-        batches = list(batch_iter(pairs, 1, subject_pairs_per_batch=16, shuffle_seed=0))
+        batches = list(batch_iter(pairs, subject_pairs_per_batch=16, shuffle_seed=0))
         assert len(batches) == 1
         assert batches[0].n_pairs == 1
 
     def test_epoch_union_is_exact_multiset(self):
         pairs = self.build(9, 3)
-        batches = list(batch_iter(pairs, 3, subject_pairs_per_batch=4, shuffle_seed=9))
+        batches = list(batch_iter(pairs, subject_pairs_per_batch=4, shuffle_seed=9))
         seen = [p for b in batches for p in b.pairs]
         assert sorted(map(repr, seen)) == sorted(map(repr, pairs))
 
     def test_groups_stay_contiguous(self):
         pairs = self.build(6, 3)
-        for batch in batch_iter(pairs, 3, subject_pairs_per_batch=2, shuffle_seed=4):
+        for batch in batch_iter(pairs, subject_pairs_per_batch=2, shuffle_seed=4):
             for i in range(0, batch.n_pairs, 3):
                 group = batch.pairs[i : i + 3]
                 assert len({(p.subject_a, p.subject_b) for p in group}) == 1
@@ -161,16 +162,28 @@ class TestBatchIter:
 
     def test_shuffle_deterministic_per_seed(self):
         pairs = self.build(8, 2)
-        a = [p for b in batch_iter(pairs, 2, 3, shuffle_seed=5) for p in b.pairs]
-        b = [p for b in batch_iter(pairs, 2, 3, shuffle_seed=5) for p in b.pairs]
-        c = [p for b in batch_iter(pairs, 2, 3, shuffle_seed=6) for p in b.pairs]
+        a = [p for b in batch_iter(pairs, 3, shuffle_seed=5) for p in b.pairs]
+        b = [p for b in batch_iter(pairs, 3, shuffle_seed=5) for p in b.pairs]
+        c = [p for b in batch_iter(pairs, 3, shuffle_seed=6) for p in b.pairs]
         assert a == b
         assert a != c
 
     def test_incomplete_group_rejected(self):
         pairs = self.build(4, 2)[:-1]  # drop one channel of the last subject pair
         with pytest.raises(DataError, match="incomplete channel group"):
-            list(batch_iter(pairs, 2, 2, shuffle_seed=0))
+            list(batch_iter(pairs, 2, shuffle_seed=0))
+
+    @pytest.mark.parametrize("edit", [
+        lambda pairs: pairs[1:],
+        lambda pairs: pairs[:-1] + [pairs[-2]],
+        lambda pairs: pairs[:-1] + [replace(pairs[-1], channel_index=2)],
+    ], ids=["first-group-short", "channel-twice", "channel-of-no-other-group"])
+    def test_every_group_holds_each_channel_of_the_list_once(self, edit):
+        pairs = edit(self.build(4, 2))
+        with pytest.raises(DataError, match="incomplete channel group"):
+            list(batch_iter(pairs, 2, shuffle_seed=0))
+        with pytest.raises(DataError, match="incomplete channel group"):
+            balance_pairs(pairs)
 
 
 class TestBalance:
@@ -179,7 +192,7 @@ class TestBalance:
         labels["k0"] = Label.CONTROL
         ds = make_dataset(labels, n_channels=2)
         pairs = build_pairs(ds, fake_images(ds))
-        balanced = balance_pairs(pairs, 2, seed=0)
+        balanced = balance_pairs(pairs, seed=0)
         same = sum(1 for p in balanced if p.y == 1) // 2
         diff = sum(1 for p in balanced if p.y == 0) // 2
         assert same == diff == 5
@@ -193,7 +206,7 @@ class TestBalance:
         labels = {"a": Label.CASE, "b": Label.CASE}
         ds = make_dataset(labels, n_channels=1)
         pairs = build_pairs(ds, fake_images(ds))
-        assert balance_pairs(pairs, 1, seed=1) == pairs
+        assert balance_pairs(pairs, seed=1) == pairs
 
 
 class TestWithRealImages:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from specsiam import siamese
 from specsiam.errors import DataError, NumericalError
 from specsiam.pairing import PairBatch, PairExample
@@ -113,7 +114,7 @@ def tiny_setup(seed: int, pooling: str = "none", n_pairs: int = 3):
         images[(a, 0)] = rng.random((h, w))
         images[(b, 0)] = rng.random((h, w))
         pairs.append(PairExample(a, b, 0, int(rng.integers(0, 2))))
-    batch = PairBatch(tuple(pairs), n_channels=1)
+    batch = PairBatch(tuple(pairs))
     return model, batch, images
 
 
@@ -146,17 +147,17 @@ def oracle_forward_base(model, x, masks):
     cfg = model.config
     pool = cfg.pooling == "max2x2"
     keep = 1.0 - cfg.dropout_p
-    z1, conv1 = siamese._conv_forward(x[:, None, :, :], model.conv1_w, model.conv1_b)
+    z1, conv1 = oracles._conv_forward(x[:, None, :, :], model.conv1_w, model.conv1_b)
     r1 = np.maximum(z1, 0.0)
     if pool:
-        p1, pc1 = siamese._pool_forward(r1)
+        p1, pc1 = oracles._pool_forward(r1)
     else:
         p1, pc1 = r1, None
     a1 = p1 * masks[0] / keep if masks is not None else p1
-    z2, conv2 = siamese._conv_forward(a1, model.conv2_w, model.conv2_b)
+    z2, conv2 = oracles._conv_forward(a1, model.conv2_w, model.conv2_b)
     r2 = np.maximum(z2, 0.0)
     if pool:
-        p2, pc2 = siamese._pool_forward(r2)
+        p2, pc2 = oracles._pool_forward(r2)
     else:
         p2, pc2 = r2, None
     a2 = p2 * masks[1] / keep if masks is not None else p2
@@ -178,15 +179,15 @@ def oracle_backward_base(model, df, cache):
     h, w = z2.shape[2], z2.shape[3]
     da2 = (dzf @ model.fc_w).reshape(z2.shape[0], cfg.conv2_filters, *((h // 2, w // 2) if pool else (h, w)))
     dp2 = da2 * masks[1] / keep if masks is not None else da2
-    dr2 = siamese._pool_backward(dp2, pc2) if pool else dp2
+    dr2 = oracles._pool_backward(dp2, pc2) if pool else dp2
     dz2 = dr2 * (z2 > 0)
-    g2w = siamese._conv_dw(conv2, dz2, model.conv2_w)
+    g2w = oracles._conv_dw(conv2, dz2, model.conv2_w)
     g2b = dz2.sum(axis=(0, 2, 3))
-    da1 = siamese._conv_dx(dz2, model.conv2_w, a1_shape)
+    da1 = oracles._conv_dx(dz2, model.conv2_w, a1_shape)
     dp1 = da1 * masks[0] / keep if masks is not None else da1
-    dr1 = siamese._pool_backward(dp1, pc1) if pool else dp1
+    dr1 = oracles._pool_backward(dp1, pc1) if pool else dp1
     dz1 = dr1 * (z1 > 0)
-    g1w = siamese._conv_dw(conv1, dz1, model.conv1_w)
+    g1w = oracles._conv_dw(conv1, dz1, model.conv1_w)
     g1b = dz1.sum(axis=(0, 2, 3))
     return {"conv1_w": g1w, "conv1_b": g1b, "conv2_w": g2w, "conv2_b": g2b, "fc_w": g_fc_w, "fc_b": g_fc_b}
 
@@ -227,7 +228,7 @@ def repeated_image_batch(model, n_subjects, n_channels, seed):
         PairExample(a, b, ch, int(rng.integers(0, 2)))
         for i, a in enumerate(subjects) for b in subjects[i + 1:] for ch in range(n_channels)
     )
-    return PairBatch(pairs, n_channels), images
+    return PairBatch(pairs), images
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +379,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(0)
         image = rng.random(model.input_shape)
         images = {("a", 0): image, ("b", 0): image}
-        batch = PairBatch((PairExample("a", "b", 0, 1),), 1)
+        batch = PairBatch((PairExample("a", "b", 0, 1),))
         expected_l1 = model.config.l1_lambda * (
             np.abs(model.conv1_w).sum() + np.abs(model.conv2_w).sum() + np.abs(model.fc_w).sum()
         )
@@ -432,7 +433,7 @@ class TestGradient:
         rng = np.random.default_rng(1)
         image = rng.random(model.input_shape)
         images = {("a", 0): image, ("b", 0): image}
-        batch = PairBatch((PairExample("a", "b", 0, 1),), 1)
+        batch = PairBatch((PairExample("a", "b", 0, 1),))
         lam = model.config.l1_lambda
         grads = gradient(model, batch, images)
         # identical neighbors sit at d=0, the loss minimum: only L1 remains
@@ -667,14 +668,6 @@ CHECKPOINT_DEFECTS = [
 STFT = StftConfig(window_s=1.5, hop_s=0.5, upper_value=120.0)
 
 
-def as_version_1(payload, distance="cosine"):
-    """A version-2 checkpoint payload rewritten as version 1 wrote it."""
-    payload.pop("stft")
-    payload["version"] = 1
-    payload["config"]["distance"] = distance
-    return payload
-
-
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model, batch, images = tiny_setup(40)
@@ -709,27 +702,7 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
-    def test_version_1_loads_without_spectral_config(self, tmp_path):
-        model, _, _ = tiny_setup(42)
-        path = tmp_path / "model.json"
-        save_checkpoint(model, STFT, path)
-        path.write_text(json.dumps(as_version_1(json.loads(path.read_text()))))
-        loaded, stft = load_checkpoint(path)
-        assert stft is None
-        assert loaded.config == model.config
-        for name in model.params():
-            np.testing.assert_array_equal(loaded.params()[name], model.params()[name])
-
-    def test_version_1_euclidean_is_rejected(self, tmp_path):
-        model, _, _ = tiny_setup(43)
-        path = tmp_path / "model.json"
-        save_checkpoint(model, STFT, path)
-        path.write_text(json.dumps(as_version_1(json.loads(path.read_text()), "euclidean")))
-        with pytest.raises(DataError, match="distance") as info:
-            load_checkpoint(path)
-        assert str(path) in str(info.value)
-
-    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    @pytest.mark.parametrize("version", [0, 1, 3, "2", None])
     def test_unknown_version_is_rejected(self, tmp_path, version):
         model, _, _ = tiny_setup(44)
         path = tmp_path / "model.json"
@@ -737,8 +710,9 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         payload["version"] = version
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="version"):
+        with pytest.raises(DataError, match="version") as info:
             load_checkpoint(path)
+        assert str(path) in str(info.value)
 
 
 class TestConfigValidation:
