@@ -19,8 +19,9 @@ A second table times the stages behind the FFT baseline rows, best of
 of depth 3) on a 10x301 table (the FFT features of a 10-s, 64-Hz channel) and
 on a 128x8 table (twin-network features); one linear and one rbf SVM fit
 (c=1, gamma=0.1) on the FFT features of 4 synthetic subjects (8x301, an
-inner fold of the tuned FFT-SVM row) and on 1062x8 simplex rows (a
-twin-feature LOOCV fold at paper scale); and one `gp_fit` and one
+inner fold of the tuned FFT-SVM row), on those of 8+8 subjects x 16 channels
+of 60 s at 128 Hz (256x1801, paper-length recordings) and on 1062x8 simplex
+rows (a twin-feature LOOCV fold at paper scale); and one `gp_fit` and one
 `propose_next` after n evaluations: n = 9 and 15 on the SVM search space
 (d = 3; 15 is the default classifier budget of 5 + 10) and n = 55 on the
 network search space (d = 6; the default network budget of 5 + 50).
@@ -126,12 +127,15 @@ def stage_rows(repeats, rng):
         table = classify.LabeledFeatures(tuple(f"s{i}" for i in range(n)), (0,) * n, x, y)
         ms = best_ms(classify.fit, spec, table, repeats=repeats)
         print(f"| xgb fit, default spec | {n}x{d} | {ms:.1f} |", flush=True)
+    max_freq_hz = evaluate.PipelineConfig().max_freq_hz
     cohort = signals.generate_synthetic_cohort(3, 3, 2, 10.0, 64.0, seed=0)
-    fft_table = evaluate.fft_feature_table(cohort, evaluate.PipelineConfig().max_freq_hz)
+    fft_table = evaluate.fft_feature_table(cohort, max_freq_hz)
+    wide_cohort = signals.generate_synthetic_cohort(8, 8, 16, 60.0, 128.0, seed=3)
+    wide_table = evaluate.fft_feature_table(wide_cohort, max_freq_hz)
     x = rng.dirichlet(np.ones(8), 1062)  # on the simplex, like twin-network features
     y = (x[:, 0] > 1.0 / 8).astype(np.int64) ^ (np.arange(1062) % 7 == 0)  # a rule, every 7th label flipped
     twin_table = classify.LabeledFeatures(tuple(f"s{i // 16}" for i in range(1062)), (0,) * 1062, x, y)
-    for table in (fft_table.subset(["case00", "case01", "ctrl00", "ctrl01"]), twin_table):
+    for table in (fft_table.subset(["case00", "case01", "ctrl00", "ctrl01"]), wide_table, twin_table):
         n, d = table.x.shape
         for kernel in classify.SVM_KERNELS:
             spec = classify.ClassifierSpec(classify.ClassifierKind.SVM, {"kernel": kernel, "c": 1.0, "gamma": 0.1})

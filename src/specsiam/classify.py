@@ -163,8 +163,8 @@ class ClassifierKind(Enum):
 
 
 SVM_KERNELS = ("linear", "rbf")
-SVM_TOL = 1e-3  # KKT violation that makes SMO update an alpha
-SVM_MAX_PASSES = 100  # sweeps over the alphas before SMO stops
+SVM_TOL = 1e-3  # SMO stops once its largest KKT violation, m(α) - M(α), is at most this
+SVM_MAX_ITER = 50_000  # SMO steps before a fit stops unconverged, with feasible alphas
 
 NB_VARIANCE_FLOOR = 1e-9
 
@@ -433,7 +433,7 @@ class GaussianNbClassifier:
 class SmoSvmClassifier:
     """Soft-margin SVM trained by pairwise coordinate ascent on the dual."""
 
-    def __init__(self, kernel: str = "linear", c: float = 1.0, gamma: float = 0.1, seed: int = 0):
+    def __init__(self, kernel: str = "linear", c: float = 1.0, gamma: float = 0.1):
         if kernel not in SVM_KERNELS:
             raise DataError(f"kernel must be one of {SVM_KERNELS}")
         if c <= 0:
@@ -443,7 +443,6 @@ class SmoSvmClassifier:
         self.kernel = kernel
         self.c = c
         self.gamma = gamma
-        self.seed = seed
         self.x_train = self.s_train = self.alphas = None
         self.b = 0.0
 
@@ -458,67 +457,47 @@ class SmoSvmClassifier:
         return _require_finite(np.exp(-self.gamma * np.maximum(d2, 0.0)), "svm: rbf kernel")
 
     def fit(self, x, y):
-        """Simplified SMO (Platt 1998): each KKT violator is paired with a random second index.
+        """SMO with second-order working-set selection (Fan, Chen & Lin 2005), as in libsvm.
 
-        The loop runs on Python floats (alphas, labels, the kernel entries it
-        reads) and keeps alphas·s as an array for each error's dot product
-        with a kernel column; s is ±1, so every entry of alphas·s is exact.
-        The clip mirrors np.clip, a NaN included.
+        score = -s·∇f for the dual f(α) = ½αᵀQα - Σα with Q = ssᵀ∘K. Each
+        step takes the i of largest score in I_up and the j of I_low whose
+        pair lowers f most, moves both alphas along Σ s·α = 0 to the minimum
+        of f on that line, cut at the box (an alpha cut at a bound is set to
+        it exactly), and updates score with kernel rows i and j. The fit
+        stops when the largest score over I_up exceeds the smallest over
+        I_low by at most SVM_TOL, or after SVM_MAX_ITER steps with the
+        feasible alphas it has. b is the mean score of the free alphas, or
+        with none free, the midpoint of those two scores.
         """
         x, y = _check_training(x, y, require_both_classes=True)
         s = np.where(y == 1, 1.0, -1.0)
-        n = x.shape[0]
         k = self._gram(x, x)
-        alphas = [0.0] * n
-        alpha_s = np.zeros(n) * s  # alphas·s, kept in step with alphas
-        labels = s.tolist()
-        columns = [k[:, i] for i in range(n)]
-        k_diag = k.diagonal().tolist()
-        b = 0.0
-        rng = np.random.default_rng(self.seed)
-        c, tol = self.c, SVM_TOL
-        for _ in range(SVM_MAX_PASSES):
-            changed = 0
-            for i in range(n):
-                si, ai_old = labels[i], alphas[i]
-                err_i = float(alpha_s @ columns[i]) + b - si
-                if not ((si * err_i < -tol and ai_old < c) or (si * err_i > tol and ai_old > 0)):
-                    continue
-                j = int(rng.integers(n - 1))
-                if j >= i:
-                    j += 1
-                sj, aj_old = labels[j], alphas[j]
-                err_j = float(alpha_s @ columns[j]) + b - sj
-                if si != sj:
-                    lo, hi = max(0.0, aj_old - ai_old), min(c, c + aj_old - ai_old)
-                else:
-                    lo, hi = max(0.0, ai_old + aj_old - c), min(c, ai_old + aj_old)
-                if lo >= hi:
-                    continue
-                k_ij = k.item(i, j)
-                eta = 2.0 * k_ij - k_diag[i] - k_diag[j]
-                if eta >= 0:
-                    continue
-                aj = aj_old - sj * (err_i - err_j) / eta
-                if aj == aj:  # np.clip passes a NaN through
-                    aj = min(hi, max(lo, aj))
-                if abs(aj - aj_old) < 1e-5:
-                    continue
-                ai = ai_old + si * sj * (aj_old - aj)
-                b1 = b - err_i - si * (ai - ai_old) * k_diag[i] - sj * (aj - aj_old) * k_ij
-                b2 = b - err_j - si * (ai - ai_old) * k_ij - sj * (aj - aj_old) * k_diag[j]
-                alphas[i], alphas[j] = ai, aj
-                alpha_s[i], alpha_s[j] = ai * si, aj * sj
-                if 0.0 < ai < c:
-                    b = b1
-                elif 0.0 < aj < c:
-                    b = b2
-                else:
-                    b = 0.5 * (b1 + b2)
-                changed += 1
-            if changed == 0:
+        diag = k.diagonal()
+        curv = _require_finite(diag[:, None] + diag[None, :] - 2.0 * k, "svm: kernel distance")
+        curv = np.maximum(curv, 1e-12)
+        c, labels = self.c, s.tolist()
+        alphas = [0.0] * s.size
+        score = s.copy()
+        up, low = s > 0, s < 0  # I_up and I_low, kept in step with alphas
+        for step in range(SVM_MAX_ITER + 1):
+            i = int(np.argmax(np.where(up, score, -np.inf)))
+            gap = np.where(low, score[i] - score, -np.inf)
+            widest = gap.max()
+            if widest <= SVM_TOL or step == SVM_MAX_ITER:
                 break
-        self.x_train, self.s_train, self.alphas, self.b = x, s, np.array(alphas, dtype=np.float64), b
+            j = int(np.argmax(np.where(gap > 0, gap * gap / curv[i], -np.inf)))
+            bound_i = c if labels[i] > 0 else 0.0
+            bound_j = 0.0 if labels[j] > 0 else c
+            room_i, room_j = abs(bound_i - alphas[i]), abs(bound_j - alphas[j])
+            t = min(gap.item(j) / curv.item(i, j), room_i, room_j)
+            alphas[i] = bound_i if t == room_i else min(max(alphas[i] + labels[i] * t, 0.0), c)
+            alphas[j] = bound_j if t == room_j else min(max(alphas[j] - labels[j] * t, 0.0), c)
+            for m in (i, j):
+                up[m], low[m] = (alphas[m] < c, alphas[m] > 0) if labels[m] > 0 else (alphas[m] > 0, alphas[m] < c)
+            score -= t * (k[i] - k[j])
+        free = up & low
+        b = score[free].mean() if free.any() else score[i] - 0.5 * widest
+        self.x_train, self.s_train, self.alphas, self.b = x, s, np.array(alphas), float(b)
         return self
 
     def decision_function(self, x):
@@ -654,8 +633,8 @@ _MODEL_CLASSES = {
 
 def fit(spec: ClassifierSpec, train: LabeledFeatures, seed: int = 0):
     """Train a classifier of the given spec on the feature table; its params are the model's keywords,
-    and seed those of the kinds that draw at random (SVM and RF)."""
-    seeded = {"seed": seed} if spec.kind in (ClassifierKind.SVM, ClassifierKind.RF) else {}
+    and seed that of the one kind that draws at random (RF)."""
+    seeded = {"seed": seed} if spec.kind is ClassifierKind.RF else {}
     return _MODEL_CLASSES[spec.kind](**spec.params, **seeded).fit(train.x, train.y)
 
 

@@ -259,7 +259,7 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, choices=[k.value for k in ClassifierKind])
     p.add_argument("--predict", help="feature table to label with the fitted model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="rf only (default 0)")
     _add_clf_flags(p)
     p.add_argument("--out")
 
@@ -433,15 +433,18 @@ def _cmd_tune_clf(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    kind = ClassifierKind(args.model)
+    if args.seed is not None and kind is not ClassifierKind.RF:
+        raise DataError(f"flag --seed: it seeds rf, and {kind.value} draws nothing at random")
     out = _out_dir(args)
     table = LabeledFeatures.from_csv(args.features)
-    kind = ClassifierKind(args.model)
     params = _clf_params_from_args(args, kind, tuned=False)
     spec = ClassifierSpec(kind, params) if params else classify_mod.default_spec(kind)
-    model = classify_mod.fit(spec, table, seed=args.seed)
+    seeded = {"seed": args.seed or 0} if kind is ClassifierKind.RF else {}
+    model = classify_mod.fit(spec, table, **seeded)
     payload = {"spec": {"model": kind.value, "params": spec.params}, "fitted": classify_mod.model_to_dict(model)}
     write_json(out / "model.json", payload)
-    resolved = {"features": str(args.features), "model": kind.value, "params": spec.params, "seed": args.seed}
+    resolved = {"features": str(args.features), "model": kind.value, "params": spec.params, **seeded}
     if args.predict:
         target = LabeledFeatures.from_csv(args.predict)
         preds = model.predict(target.x)

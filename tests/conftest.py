@@ -1,6 +1,21 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from specsiam.signals import BandComponent, generate_synthetic_cohort, save_dataset
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def pytest_configure(config):
+    """Stop when PYTHONPATH names another specsiam tree: pyproject's pythonpath puts this
+    checkout's src first, so the suite would silently test this tree instead of that one."""
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        package = Path(entry).resolve() / "specsiam"
+        if package.is_dir() and package != SRC / "specsiam":
+            pytest.exit(f"PYTHONPATH entry {entry} holds the specsiam package {package}, but these tests "
+                        f"import {SRC / 'specsiam'}; run them from that package's own checkout", returncode=4)
 
 
 @pytest.fixture(scope="session")

@@ -150,7 +150,7 @@ def test_criterion_6_classifier_oracles():
 
         sep_x = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 3.0], [3.0, 4.0]])
         sep_y = np.array([0, 0, 1, 1])
-        svm = SmoSvmClassifier(kernel="linear", c=5.0, seed=0).fit(sep_x, sep_y)
+        svm = SmoSvmClassifier(kernel="linear", c=5.0).fit(sep_x, sep_y)
         assert (svm.predict(sep_x) == sep_y).all()
         assert kkt_violation(svm, sep_x, sep_y) <= 1e-3
 

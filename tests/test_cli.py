@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -390,6 +391,23 @@ class TestClassifierFlags:
         assert code == 2 and message in err and "Traceback" not in err
         assert not (tmp_path / "out" / "model.json").exists()
 
+    @pytest.mark.parametrize("model", ["knn", "nb", "svm", "xgb"])
+    def test_classify_seed_is_an_rf_flag(self, table, tmp_path, model):
+        code, err = run_main(["classify", "--features", table, "--model", model, "--seed", "3",
+                              "--out", str(tmp_path / "out")])
+        assert code == 2 and "Traceback" not in err
+        assert f"flag --seed: it seeds rf, and {model} draws nothing at random" in err
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("model, flags, seed", [("rf", [], 0), ("rf", ["--seed", "3"], 3), ("svm", [], None)])
+    def test_classify_manifest_records_the_seed_of_rf_alone(self, table, tmp_path, model, flags, seed):
+        out = tmp_path / "out"
+        assert main(["classify", "--features", table, "--model", model, *flags, "--out", str(out)]) == 0
+        resolved = json.loads((out / "run_manifest.json").read_text())["resolved"]
+        assert resolved.get("seed") == seed and ("seed" in resolved) == (model == "rf")
+        fitted = json.loads((out / "model.json").read_text())["fitted"]
+        assert fitted.get("seed") == seed
+
     @pytest.mark.parametrize(
         "argv, message",
         [(["loocv", "--pipeline", "FFT-NB", "--knn-k", "3", "--svm-c", "99"],
@@ -444,6 +462,8 @@ class TestClassifierFlags:
 
 HUGE_TABLE = ("subject_id,channel,f_1,f_2,label\r\n" "a,0,1e200,-3e200,case\r\n" "b,0,2e200,1e200,case\r\n"
               "c,0,-1e200,2e200,control\r\n" "d,0,3e200,-1e200,control\r\n")
+DISTANT_TABLE = ("subject_id,channel,f_1,label\r\n" "a,0,1.2e154,control\r\n" "b,0,-1.2e154,case\r\n"
+                 "c,0,5e153,control\r\n" "d,0,-7e153,case\r\n")  # a finite linear kernel, infinite distances
 
 
 class TestOverflowedFeatures:
@@ -471,6 +491,26 @@ class TestOverflowedFeatures:
         assert f"classifier tuning: all {evaluations} evaluations failed" in err
         failures = [row.split(",")[-1] for row in (out / "clf_bo_trace.csv").read_text().splitlines()[1:]]
         assert len(failures) == evaluations and all("value is not finite" in f for f in failures)
+
+    def test_classify_on_an_overflowed_kernel_distance_exits_3_at_once(self, tmp_path):
+        path = tmp_path / "distant.csv"
+        path.write_text(DISTANT_TABLE, encoding="utf-8")
+        start = time.perf_counter()
+        code, err = run_main(["classify", "--features", str(path), "--model", "svm", "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and "Traceback" not in err
+        assert "numerical failure [classify]: svm: kernel distance value is not finite" in err
+
+    def test_tuning_records_an_overflowed_kernel_distance_as_a_failure(self, tmp_path):
+        path = tmp_path / "distant.csv"
+        path.write_text(DISTANT_TABLE, encoding="utf-8")
+        out = tmp_path / "out"
+        code, err = run_main(["tune-clf", "--features", str(path), "--model", "svm", "--init", "2",
+                              "--budget", "1", "--k", "2", "--out", str(out)])
+        assert code == 2 and "Traceback" not in err
+        assert "classifier tuning: all 3 evaluations failed" in err
+        failures = [row.split(",")[-1] for row in (out / "clf_bo_trace.csv").read_text().splitlines()[1:]]
+        assert len(failures) == 3 and all(f.startswith("svm: ") and "value is not finite" in f for f in failures)
 
 
 class TestManifestFields:
