@@ -1,6 +1,14 @@
 #!/usr/bin/env python3
 """Per-layer timings of the twin network's kernels and of the baseline stages.
 
+The first row is the start-up cost of every specsiam process: the wall time
+and the peak RSS of a fresh `python -c "import specsiam.cli"` subprocess,
+each the best of --repeats runs. scipy is not in it: its submodules load with
+the first code that calls them. The child reads its peak from VmHWM in
+/proc/self/status (Linux), which equals the ru_maxrss of a process started
+from a shell; ru_maxrss of a child of this script would also count the pages
+it shared with this script before it exec'd.
+
 Times both convolution algorithms (FFT and direct) on forward, kernel
 gradient (dW) and input gradient (dX) for conv1 and conv2 at two shapes:
 the synthetic criterion-7 net (65x29 images, filters 4/8, k=3 and 5, 32
@@ -38,6 +46,7 @@ min(--repeats, 3) steps; `peak MB` is the largest traced allocation
 
 import argparse
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -73,6 +82,24 @@ def best_ms(fn, *args, repeats):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return 1e3 * best
+
+
+COLD_IMPORT = """import specsiam.cli
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))"""
+
+
+def cold_import_row(repeats):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    wall, rss = float("inf"), float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        wall = min(wall, time.perf_counter() - t0)
+        rss = min(rss, int(out) * 1024 / 1e6)  # VmHWM is in KiB
+    print("| cold start | wall ms | peak RSS MB |")
+    print("|---|---|---|")
+    print(f'| python -c "import specsiam.cli" | {1e3 * wall:.0f} | {rss:.1f} |', flush=True)
 
 
 def conv_rows(name, b, c_in, c_out, hw, k, repeats, rng):
@@ -191,6 +218,8 @@ def main():
     args = parser.parse_args()
     rng = np.random.default_rng(0)
     print(f"# numpy {np.__version__}, nproc {os.cpu_count()}, one thread")
+    cold_import_row(args.repeats)
+    print()
     print("| net | input -> filters | k | fan-in | op | fft ms | direct ms | path |")
     print("|---|---|---|---|---|---|---|---|")
     pools = []

@@ -5,7 +5,8 @@ Reproduces the complete comparison table: five plain-FFT baselines and five
 network-feature pipelines, each with per-fold classifier tuning (5+10) and,
 for the network rows, a single joint hyperparameter search (5+50) that also
 selects the magnitude upper value. Expect hours of CPU time at 84 subjects;
-use --snn-acq/--clf-acq to trade fidelity for speed.
+use --snn-acq/--clf-acq to trade fidelity for speed. A data error exits 2 and
+a numerical failure 3, each with the CLI's one-line message.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from specsiam.cli import exit_code
 from specsiam.evaluate import PIPELINES, PipelineConfig, report_table, run_pipeline
 from specsiam.signals import load_dataset
 
@@ -62,7 +64,8 @@ def main():
     (out / "table.txt").write_text(table + "\n", encoding="utf-8")
     print()
     print(table)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code("cohort-table", main))

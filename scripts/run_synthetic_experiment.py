@@ -69,7 +69,6 @@ def main():
             learning_rate=1e-3,
             epochs=args.epochs,
             pooling="max2x2",
-            seed=5,
         ),
         clf_params=None,
     )

@@ -30,6 +30,7 @@ scipy.optimize.minimize run from each start in turn on the wrapped calls.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -37,9 +38,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import linalg as sp_linalg
-from scipy import special as sp_special
-from scipy.optimize import _lbfgsb
 
 from .errors import DataError, NumericalError
 
@@ -230,13 +228,20 @@ def _matern52_scaled(
 
 
 # The double-precision LAPACK routines that scipy.linalg's cholesky, cho_solve
-# and solve_triangular call, resolved once. Each helper below passes the
-# arguments its wrapper passes (lower factor, clean=True, no overwrite) and
-# raises what the wrapper raises, so results are bit-identical; the wrappers'
-# batching, validation and lookups cost more than the solves on these sizes.
-# Callers that hold a factor or a right-hand side fixed for a whole fit or
-# posterior check it once and pass check_finite=False, as scipy allows.
-_POTRF, _POTRS, _TRTRS = sp_linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+# and solve_triangular call, resolved once, on first use (so scipy.linalg loads
+# with the first GP fit or EI search). Each helper below passes the arguments
+# its wrapper passes (lower factor, clean=True, no overwrite) and raises what
+# the wrapper raises (scipy.linalg.LinAlgError is numpy's), so results are
+# bit-identical; the wrappers' batching, validation and lookups cost more than
+# the solves on these sizes. Callers that hold a factor or a right-hand side
+# fixed for a whole fit or posterior check it once and pass check_finite=False,
+# as scipy allows.
+@functools.cache
+def _lapack():
+    """(potrf, potrs, trtrs) for float64 arrays."""
+    from scipy import linalg as sp_linalg
+
+    return sp_linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -250,9 +255,9 @@ def _cholesky(a: np.ndarray, check_finite: bool = True) -> np.ndarray:
     """sp_linalg.cholesky(a, lower=True, check_finite=check_finite)."""
     if check_finite:
         _check_finite(a)
-    c, info = _POTRF(a, lower=True, overwrite_a=False, clean=True)
+    c, info = _lapack()[0](a, lower=True, overwrite_a=False, clean=True)
     if info > 0:
-        raise sp_linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
     return c
@@ -262,7 +267,7 @@ def _cho_solve(lower: np.ndarray, b: np.ndarray, check_finite: bool = True) -> n
     """sp_linalg.cho_solve((lower, True), b, check_finite=check_finite)."""
     if check_finite:
         _check_finite(b, lower)
-    x, info = _POTRS(lower, b, lower=True, overwrite_b=False)
+    x, info = _lapack()[1](lower, b, lower=True, overwrite_b=False)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
@@ -272,12 +277,13 @@ def _solve_lower(lower: np.ndarray, b: np.ndarray, trans: int = 0, check_finite:
     """sp_linalg.solve_triangular(lower, b, lower=True, trans=trans, check_finite=check_finite), trans 0 or 1."""
     if check_finite:
         _check_finite(lower, b)
+    trtrs = _lapack()[2]
     if lower.flags.f_contiguous:
-        x, info = _TRTRS(lower, b, overwrite_b=False, lower=True, trans=trans, unitdiag=False)
+        x, info = trtrs(lower, b, overwrite_b=False, lower=True, trans=trans, unitdiag=False)
     else:  # trtrs expects Fortran order: solve the transposed system
-        x, info = _TRTRS(lower.T, b, overwrite_b=False, lower=False, trans=not trans, unitdiag=False)
+        x, info = trtrs(lower.T, b, overwrite_b=False, lower=False, trans=not trans, unitdiag=False)
     if info > 0:
-        raise sp_linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
     return x
@@ -290,7 +296,7 @@ def _chol_with_jitter(k: np.ndarray, noise_var: float):
         try:
             lower = _cholesky(k + (noise_var + jitter) * np.eye(n))
             return lower, jitter
-        except sp_linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
     raise NumericalError(
         f"covariance not positive definite even with jitter {jitter:g}"
@@ -309,6 +315,8 @@ _FG, _NEW_X, _STOP = 3, 1, 5  # setulb's task codes
 
 def _lbfgsb_run(x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """One start of _lbfgsb_lockstep: yields each x it needs (f, g) at, is sent them, returns (x, f, nfev)."""
+    from scipy.optimize._lbfgsb import setulb
+
     n = x.size
     m = _LBFGSB_M
     nbd = np.full(n, 2, np.int32)  # bounded below and above
@@ -323,8 +331,8 @@ def _lbfgsb_run(x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     n_iterations = 0
     while True:
         g = g.astype(np.float64)  # a copy, as scipy passes it: the cached gradient is never written
-        _lbfgsb.setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task,
-                       lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa, task,
+               lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == _FG:
             if x.tolist() != x_seen.tolist():  # not np.array_equal (elementwise ==: 0.0 == -0.0, nan != nan)
                 x_seen = x.copy()
@@ -459,7 +467,7 @@ def _neg_log_marginal(log_params, x, y_std, fixed_noise, diffs, eye):
         try:
             lowers.append(_cholesky(a, check_finite=False))
             rows.append(i)
-        except sp_linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             pass
     values, grads = [1e9] * len(log_params), np.zeros_like(log_params)
     if not rows:
@@ -577,8 +585,10 @@ def _ei(mu, var, best_value):
     live = sigma > 1e-12
     cdf = pdf = None
     if np.any(live):
+        from scipy.special import ndtr
+
         z = improve[live] / sigma[live]
-        cdf = sp_special.ndtr(z)
+        cdf = ndtr(z)
         pdf = np.exp(-z**2 / 2.0) / SQRT_2PI  # scipy.stats.norm.pdf's formula
         ei = ei.copy()
         ei[live] = improve[live] * cdf + sigma[live] * pdf

@@ -387,7 +387,8 @@ class KnnClassifier:
 
     def predict(self, x):
         x = _check_features(x, self.x_train.shape[1])
-        d2 = ((x[:, None, :] - self.x_train[None, :, :]) ** 2).sum(axis=2)
+        with _unchecked():
+            d2 = ((x[:, None, :] - self.x_train[None, :, :]) ** 2).sum(axis=2)
         _require_finite(d2, "knn: distance")
         order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         votes_case = (self.y_train[order] == 1).sum(axis=1)
@@ -425,7 +426,8 @@ class GaussianNbClassifier:
 
     def predict(self, x):
         x = _check_features(x, self.means.shape[1])
-        post = self._log_posterior(x)
+        with _unchecked():
+            post = self._log_posterior(x)
         _require_finite(post, "nb: log posterior")
         return (post[:, 1] >= post[:, 0]).astype(np.int64)
 
@@ -447,14 +449,15 @@ class SmoSvmClassifier:
         self.b = 0.0
 
     def _gram(self, xa, xb):
-        if self.kernel == "linear":
-            return _require_finite(xa @ xb.T, "svm: linear kernel")
-        d2 = (
-            (xa * xa).sum(axis=1)[:, None]
-            + (xb * xb).sum(axis=1)[None, :]
-            - 2.0 * (xa @ xb.T)
-        )
-        return _require_finite(np.exp(-self.gamma * np.maximum(d2, 0.0)), "svm: rbf kernel")
+        with _unchecked():
+            if self.kernel == "linear":
+                return _require_finite(xa @ xb.T, "svm: linear kernel")
+            d2 = (
+                (xa * xa).sum(axis=1)[:, None]
+                + (xb * xb).sum(axis=1)[None, :]
+                - 2.0 * (xa @ xb.T)
+            )
+            return _require_finite(np.exp(-self.gamma * np.maximum(d2, 0.0)), "svm: rbf kernel")
 
     def fit(self, x, y):
         """SMO with second-order working-set selection (Fan, Chen & Lin 2005), as in libsvm.
@@ -473,7 +476,8 @@ class SmoSvmClassifier:
         s = np.where(y == 1, 1.0, -1.0)
         k = self._gram(x, x)
         diag = k.diagonal()
-        curv = _require_finite(diag[:, None] + diag[None, :] - 2.0 * k, "svm: kernel distance")
+        with _unchecked():
+            curv = _require_finite(diag[:, None] + diag[None, :] - 2.0 * k, "svm: kernel distance")
         curv = np.maximum(curv, 1e-12)
         c, labels = self.c, s.tolist()
         alphas = [0.0] * s.size
@@ -503,7 +507,8 @@ class SmoSvmClassifier:
     def decision_function(self, x):
         x = _check_features(x, self.x_train.shape[1])
         k = self._gram(self.x_train, x)
-        return _require_finite((self.alphas * self.s_train) @ k + self.b, "svm: decision")
+        with _unchecked():
+            return _require_finite((self.alphas * self.s_train) @ k + self.b, "svm: decision")
 
     def predict(self, x):
         return (self.decision_function(x) >= 0.0).astype(np.int64)
@@ -604,6 +609,15 @@ def _check_training(x, y, require_both_classes: bool):
     if require_both_classes and len(np.unique(y)) < 2:
         raise DataError("training set contains a single class")
     return x, y
+
+
+def _unchecked():
+    """The scope of an expression whose result goes to _require_finite.
+
+    numpy's overflow, invalid and divide warnings are off inside it, so a
+    value that overflows is reported once, by the NumericalError.
+    """
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:

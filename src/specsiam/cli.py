@@ -32,7 +32,7 @@ from .signals import (Label, channel_order, generate_synthetic_cohort, load_data
 from .spectral import (StftConfig, compute_images, config_from_dict, config_to_dict, convert_value,
                        export_image_csv, export_image_pgm)
 
-__all__ = ["main"]
+__all__ = ["main", "exit_code"]
 
 
 class _UsageError(Exception):
@@ -613,13 +613,19 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    return exit_code(args.command, lambda: _HANDLERS[args.command](args))
+
+
+def exit_code(command: str, body) -> int:
+    """body()'s exit code, or one stderr line naming command and exit code 2
+    on DataError, 3 on NumericalError."""
     try:
-        return _HANDLERS[args.command](args)
+        return body()
     except DataError as exc:
-        _log(f"error [{args.command}]: {exc}")
+        _log(f"error [{command}]: {exc}")
         return 2
     except NumericalError as exc:
-        _log(f"numerical failure [{args.command}]: {exc}")
+        _log(f"numerical failure [{command}]: {exc}")
         return 3
 
 

@@ -10,7 +10,9 @@ distance between twin outputs stays in [0, 1].
 Each convolution runs either directly (im2col unfolding and one matmul) or in
 the Fourier domain, chosen per layer from its fan-in C_in * k * k: direct up
 to DIRECT_CONV_MAX_FAN_IN = 100, FFT above, following the measured crossover
-described above the layer primitives. Max pooling compares four strided views.
+described above the layer primitives. The FFT-path functions import scipy.fft
+themselves, so a process whose convolutions all run direct never loads it.
+Max pooling compares four strided views.
 The network runs each conv -> bias -> ReLU -> 2x2 pool as one fused block, a
 chunk of about UNFOLD_CHUNK_BYTES of images at a time, forward and backward,
 so neither the full-size conv output nor its gradient is ever built; the
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .classify import LabeledFeatures
 from .errors import DataError, NumericalError
@@ -313,6 +314,8 @@ def _unfolded(x, k):
 
 
 def _fft_plane(h: int, wd: int) -> tuple[int, int]:
+    from scipy import fft as sp_fft
+
     return sp_fft.next_fast_len(h), sp_fft.next_fast_len(wd)
 
 
@@ -351,6 +354,8 @@ def _fft_chunks(x, w, step):
     """Yields (batch slice, input spectrum, conv output without bias) step
     images at a time; the output is a crop view of the chunk's inverse
     transform."""
+    from scipy import fft as sp_fft
+
     h, wd = x.shape[2:]
     k = w.shape[2]
     plane = _fft_plane(h, wd)
@@ -368,6 +373,8 @@ def _fft_dw_planes(df, xf):
 
 def _fft_dx_planes(df, wf, plane, x_hw):
     """The input gradient from the output-gradient and weight spectra."""
+    from scipy import fft as sp_fft
+
     dx = sp_fft.irfft2(_plane_matmul(df, wf.transpose(1, 0, 2, 3)), s=plane, workers=-1)
     return dx[:, :, : x_hw[0], : x_hw[1]]
 
@@ -483,6 +490,8 @@ def _conv_block_backward(dp, cache, w, need_dx: bool):
         chunks = _unfolded(saved, k)
         step = min(_unfold_step(c_in, k, ho, wo), b)
     else:
+        from scipy import fft as sp_fft
+
         plane = _fft_plane(h, wd)
         wf = sp_fft.rfft2(w, s=plane, workers=-1)
         chunks = saved

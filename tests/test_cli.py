@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +17,9 @@ from specsiam.classify import ClassifierKind, LabeledFeatures, classifier_search
 from specsiam.siamese import NetConfig, init_model, save_checkpoint
 from specsiam.signals import load_dataset
 from specsiam.spectral import StftConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 @pytest.fixture()
@@ -511,6 +517,36 @@ class TestOverflowedFeatures:
         assert "classifier tuning: all 3 evaluations failed" in err
         failures = [row.split(",")[-1] for row in (out / "clf_bo_trace.csv").read_text().splitlines()[1:]]
         assert len(failures) == 3 and all(f.startswith("svm: ") and "value is not finite" in f for f in failures)
+
+
+def run_fresh(argv):
+    """(exit code, stderr) of one run in a fresh interpreter, where numpy's
+    RuntimeWarnings reach stderr as they would for a user."""
+    proc = subprocess.run([sys.executable, *argv], env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+class TestOneLineFailures:
+    @pytest.mark.parametrize("table, flags, what", [
+        (DISTANT_TABLE, ["--model", "svm"], "svm: kernel distance"),
+        (HUGE_TABLE, ["--model", "knn", "--predict", "{path}"], "knn: distance"),
+    ], ids=["svm", "knn"])
+    def test_a_numerical_failure_writes_one_stderr_line(self, tmp_path, table, flags, what):
+        path = tmp_path / "table.csv"
+        path.write_text(table, encoding="utf-8")
+        code, err = run_fresh(["-m", "specsiam.cli", "classify", "--features", str(path),
+                               *(flag.format(path=path) for flag in flags), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert err.splitlines() == [f"numerical failure [classify]: {what} value is not finite; "
+                                    "feature magnitudes are too large"]
+
+    def test_the_cohort_table_script_exits_2_on_a_missing_manifest(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, err = run_fresh([str(ROOT / "scripts" / "reproduce_cohort_table.py"), "--manifest", str(missing),
+                               "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.splitlines() == [f"error [cohort-table]: manifest not found: {missing}"]
 
 
 class TestManifestFields:
