@@ -408,11 +408,12 @@ class GaussianNbClassifier:
         means, variances, priors = [], [], []
         for cls in (0, 1):
             rows = x[y == cls]
-            means.append(rows.mean(axis=0))
-            variances.append(np.maximum(rows.var(axis=0), NB_VARIANCE_FLOOR))
+            with _unchecked():  # an overflowed mean leaves its variance non-finite too
+                means.append(rows.mean(axis=0))
+                variances.append(np.maximum(rows.var(axis=0), NB_VARIANCE_FLOOR))
             priors.append(rows.shape[0] / x.shape[0])
         self.means = np.array(means)
-        self.variances = np.array(variances)
+        self.variances = _require_finite(np.array(variances), "nb: variance")
         self.priors = np.array(priors)
         return self
 
@@ -445,7 +446,7 @@ class SmoSvmClassifier:
         self.kernel = kernel
         self.c = c
         self.gamma = gamma
-        self.x_train = self.s_train = self.alphas = None
+        self.x_train = self.s_train = self.alphas = self.converged = None
         self.b = 0.0
 
     def _gram(self, xa, xb):
@@ -468,9 +469,10 @@ class SmoSvmClassifier:
         of f on that line, cut at the box (an alpha cut at a bound is set to
         it exactly), and updates score with kernel rows i and j. The fit
         stops when the largest score over I_up exceeds the smallest over
-        I_low by at most SVM_TOL, or after SVM_MAX_ITER steps with the
-        feasible alphas it has. b is the mean score of the free alphas, or
-        with none free, the midpoint of those two scores.
+        I_low by at most SVM_TOL (converged), or after SVM_MAX_ITER steps
+        with the feasible alphas it has (not converged). b is the mean score
+        of the free alphas, or with none free, the midpoint of those two
+        scores.
         """
         x, y = _check_training(x, y, require_both_classes=True)
         s = np.where(y == 1, 1.0, -1.0)
@@ -502,6 +504,7 @@ class SmoSvmClassifier:
         free = up & low
         b = score[free].mean() if free.any() else score[i] - 0.5 * widest
         self.x_train, self.s_train, self.alphas, self.b = x, s, np.array(alphas), float(b)
+        self.converged = bool(widest <= SVM_TOL)
         return self
 
     def decision_function(self, x):
@@ -680,6 +683,7 @@ def model_to_dict(model) -> dict:
             "s": model.s_train.tolist(),
             "alphas": model.alphas.tolist(),
             "b": model.b,
+            "converged": model.converged,
         }
     if isinstance(model, RandomForestClassifier):
         return {

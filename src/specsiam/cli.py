@@ -32,7 +32,7 @@ from .signals import (Label, channel_order, generate_synthetic_cohort, load_data
 from .spectral import (StftConfig, compute_images, config_from_dict, config_to_dict, convert_value,
                        export_image_csv, export_image_pgm)
 
-__all__ = ["main", "exit_code"]
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
@@ -175,7 +175,6 @@ def _add_pipeline_flags(parser) -> None:
     """The flags that loocv and run share. The tuning flags default to None,
     so that a passed value can be told from none."""
     parser.add_argument("--manifest", required=True)
-    parser.add_argument("--pipeline", required=True, choices=list(evaluate.PIPELINES))
     parser.add_argument("--mode", choices=["paper", "strict"], default="paper")
     parser.add_argument("--tau", type=float, default=0.5)
     parser.add_argument("--max-freq-hz", type=float, default=PipelineConfig.max_freq_hz)
@@ -264,9 +263,11 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("loocv", help="leave-one-subject-out evaluation")
+    p.add_argument("--pipeline", required=True, choices=list(evaluate.PIPELINES))
     _add_pipeline_flags(p)
 
-    p = sub.add_parser("run", help="tuning, training, extraction and LOOCV in one go")
+    p = sub.add_parser("run", help="tuning, training, extraction and LOOCV in one go, of one or more pipelines")
+    p.add_argument("--pipeline", required=True, nargs="+", choices=list(evaluate.PIPELINES))
     _add_pipeline_flags(p)
     p.add_argument("--no-tune", action="store_true")
     p.add_argument("--snn-init", type=int)
@@ -442,6 +443,8 @@ def _cmd_classify(args) -> int:
     spec = ClassifierSpec(kind, params) if params else classify_mod.default_spec(kind)
     seeded = {"seed": args.seed or 0} if kind is ClassifierKind.RF else {}
     model = classify_mod.fit(spec, table, **seeded)
+    if kind is ClassifierKind.SVM and not model.converged:
+        _log(f"classify: svm fit stopped unconverged after {classify_mod.SVM_MAX_ITER} steps")
     payload = {"spec": {"model": kind.value, "params": spec.params}, "fitted": classify_mod.model_to_dict(model)}
     write_json(out / "model.json", payload)
     resolved = {"features": str(args.features), "model": kind.value, "params": spec.params, **seeded}
@@ -464,22 +467,27 @@ def _cmd_classify(args) -> int:
 
 # run's tuning settings when their flags are not passed.
 _RUN_TUNING = {"clf_init": 5, "clf_acq": 10, "snn_init": 5, "snn_acq": 50, "tuning_k": 5, "tuning_epochs": None}
+_NET_TUNING = ("snn_init", "snn_acq", "tuning_epochs")
 
 
-def _pipeline_config_from_args(args) -> PipelineConfig:
-    """The PipelineConfig of loocv's or run's flags. A tuning flag that nothing
-    would read is a DataError naming it: any with run --no-tune, a network one
-    on an FFT pipeline, and loocv's --tuning-k without a classifier budget."""
+def _pipeline_config_from_args(args, name: str) -> PipelineConfig:
+    """The PipelineConfig of pipeline name under loocv's or run's flags. A tuning
+    flag that nothing would read is a DataError naming it: any with run --no-tune,
+    a network one when no listed pipeline has a network, and loocv's --tuning-k
+    without a classifier budget. Only a network row gets a network budget."""
     _, (stft, net) = _resolve_configs(args, StftConfig, NetConfig)
-    route, clf_kind = evaluate.parse_pipeline(args.pipeline)
+    route, clf_kind = evaluate.parse_pipeline(name)
     run, no_tune = args.command == "run", getattr(args, "no_tune", False)
+    listed = args.pipeline if run else [name]
+    has_network = any(evaluate.parse_pipeline(p)[0] == "snn" for p in listed)
     tuning = {}
     for key, default in _RUN_TUNING.items():
         value, flag = getattr(args, key, None), "--" + key.replace("_", "-")
         if value is not None and no_tune:
             raise DataError(f"flag {flag}: run --no-tune tunes nothing")
-        if value is not None and route == "fft" and key in ("snn_init", "snn_acq", "tuning_epochs"):
-            raise DataError(f"flag {flag}: pipeline {args.pipeline} has no network to tune")
+        if value is not None and key in _NET_TUNING and not has_network:
+            which = f"pipeline {listed[0]} has" if len(listed) == 1 else f"pipelines {', '.join(listed)} have"
+            raise DataError(f"flag {flag}: {which} no network to tune")
         tuning[key] = default if value is None and run else value
     clf_budget = None if no_tune else (tuning["clf_init"], tuning["clf_acq"])
     if clf_budget is not None and None in clf_budget:  # loocv tunes only with both flags
@@ -490,6 +498,7 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
             raise DataError("flag --tuning-k: loocv tunes nothing without --clf-init and --clf-acq")
         clf_budget = None
     clf_params = _clf_params_from_args(args, clf_kind, tuned=clf_budget is not None)
+    tunes_net = run and not no_tune and route == "snn"
     return PipelineConfig(
         stft=stft,
         net=net,
@@ -497,9 +506,9 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
         mode=args.mode,
         tau=args.tau,
         clf_params=clf_params,
-        snn_budget=(tuning["snn_init"], tuning["snn_acq"]) if run and not no_tune else None,
+        snn_budget=(tuning["snn_init"], tuning["snn_acq"]) if tunes_net else None,
         clf_budget=clf_budget,
-        tuning_epochs=tuning["tuning_epochs"],
+        tuning_epochs=tuning["tuning_epochs"] if route == "snn" else None,
         tuning_k=PipelineConfig.tuning_k if tuning["tuning_k"] is None else tuning["tuning_k"],
         balance=args.balance,
         jobs=args.jobs,
@@ -509,7 +518,7 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
 def _cmd_loocv(args) -> int:
     out = _out_dir(args)
     dataset = load_dataset(args.manifest)
-    config = _pipeline_config_from_args(args)
+    config = _pipeline_config_from_args(args, args.pipeline)
     _log(f"loocv: {args.pipeline} over {dataset.n_subjects} subjects")
     report = evaluate.loocv(dataset, args.pipeline, config, seed=args.seed)
     evaluate.write_run_artifacts(out, report)
@@ -525,22 +534,32 @@ def _cmd_loocv(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    """One pipeline's artifacts under --out; with several, each pipeline's under
+    --out/<id>, as its own run would write them, and their table."""
+    repeated = sorted({name for name in args.pipeline if args.pipeline.count(name) > 1})
+    if repeated:
+        raise DataError(f"flag --pipeline: {', '.join(repeated)} listed more than once")
     out = _out_dir(args)
     dataset = load_dataset(args.manifest)
-    config = _pipeline_config_from_args(args)
-    _log(f"run: {args.pipeline} (mode={config.mode}, tuning={'off' if args.no_tune else 'on'})")
-    report, artifacts = evaluate.run_pipeline(
-        args.pipeline, dataset, config, seed=args.seed, out_dir=out
-    )
-    pipeline_cfg = json.loads((out / "pipeline_config.json").read_text(encoding="utf-8"))
-    _write_run_manifest(
-        out,
-        "run",
-        {"pipeline": args.pipeline, "seed": args.seed, "config": pipeline_cfg,
-         "artifacts": sorted(artifacts)},
-    )
-    mean, std = report.channel["accuracy"]
-    _log(f"run: channel accuracy {mean:.3f} +/- {std:.3f}")
+    configs = [_pipeline_config_from_args(args, name) for name in args.pipeline]  # before any row runs
+    reports = []
+    for name, config in zip(args.pipeline, configs):
+        row_out = out if len(args.pipeline) == 1 else out / name
+        _log(f"run: {name} (mode={config.mode}, tuning={'off' if args.no_tune else 'on'})")
+        report, artifacts = evaluate.run_pipeline(name, dataset, config, seed=args.seed, out_dir=row_out)
+        pipeline_cfg = json.loads((row_out / "pipeline_config.json").read_text(encoding="utf-8"))
+        _write_run_manifest(
+            row_out,
+            "run",
+            {"pipeline": name, "seed": args.seed, "config": pipeline_cfg, "artifacts": sorted(artifacts)},
+        )
+        mean, std = report.channel["accuracy"]
+        _log(f"run: channel accuracy {mean:.3f} +/- {std:.3f}")
+        reports.append(report)
+    if len(reports) > 1:
+        table = evaluate.report_table(reports)
+        (out / "table.txt").write_text(table + "\n", encoding="utf-8")
+        print(table)
     return 0
 
 
@@ -613,19 +632,13 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    return exit_code(args.command, lambda: _HANDLERS[args.command](args))
-
-
-def exit_code(command: str, body) -> int:
-    """body()'s exit code, or one stderr line naming command and exit code 2
-    on DataError, 3 on NumericalError."""
     try:
-        return body()
+        return _HANDLERS[args.command](args)
     except DataError as exc:
-        _log(f"error [{command}]: {exc}")
+        _log(f"error [{args.command}]: {exc}")
         return 2
     except NumericalError as exc:
-        _log(f"numerical failure [{command}]: {exc}")
+        _log(f"numerical failure [{args.command}]: {exc}")
         return 3
 
 

@@ -535,7 +535,7 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int, 
         train_table = fold_table.subset(train_ids)
         test_table = fold_table.subset([held])
         audit_no_leakage(held, (), train_table)
-        warning = None
+        warnings = []
         if config.clf_budget is not None:
             spec, state = tune_classifier(
                 train_table,
@@ -547,15 +547,18 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int, 
             )
             if len(state.failures) == len(state.values):  # the best of all-zero scores is no choice
                 spec = default_spec(clf_kind)
-                warning = (f"fold {held}: classifier tuning: all {len(state.values)} evaluations failed, "
-                           f"the first with '{state.failures[0]['error']}'; fitted the default spec")
+                warnings.append(f"fold {held}: classifier tuning: all {len(state.values)} evaluations failed, "
+                                f"the first with '{state.failures[0]['error']}'; fitted the default spec")
         elif config.clf_params is not None:
             spec = ClassifierSpec(clf_kind, config.clf_params)
         else:
             spec = default_spec(clf_kind)
         fitted = classify.fit(spec, train_table, seed=fold_seed)
+        if clf_kind is ClassifierKind.SVM and not fitted.converged:
+            warnings.append(f"fold {held}: svm fit with {spec.params} stopped unconverged "
+                            f"after {classify.SVM_MAX_ITER} steps")
         preds = fitted.predict(test_table.x)
-        return _fold_result(held, labels[held], preds, spec.params), warning
+        return _fold_result(held, labels[held], preds, spec.params), warnings
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -563,7 +566,7 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int, 
     else:
         results = [run_fold(i) for i in range(len(subjects))]
     report = compute_metrics([fold for fold, _ in results], pipeline_id=name)
-    report.warnings.extend(warning for _, warning in results if warning is not None)
+    report.warnings.extend(warning for _, warnings in results for warning in warnings)
     return report, (model, trace, table)
 
 

@@ -450,6 +450,18 @@ class TestSvm:
         with pytest.raises(DataError, match="single class"):
             SmoSvmClassifier().fit(np.zeros((3, 1)), np.zeros(3))
 
+    def test_a_fit_stopped_at_the_step_cap_says_so(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        x = rng.random((12, 3))
+        y = rng.integers(0, 2, 12)
+        y[:2] = [0, 1]
+        converged = SmoSvmClassifier(kernel="rbf", c=2.0, gamma=1.0).fit(x, y)
+        assert converged.converged and model_to_dict(converged)["converged"] is True
+        monkeypatch.setattr(classify, "SVM_MAX_ITER", 2)
+        capped = SmoSvmClassifier(kernel="rbf", c=2.0, gamma=1.0).fit(x, y)
+        assert kkt_violation(capped, x, y) > classify.SVM_TOL
+        assert not capped.converged and model_to_dict(capped)["converged"] is False
+
     @pytest.mark.parametrize("kernel", ["linear", "rbf"])
     @pytest.mark.parametrize("n", [2, 8, 16, 128, 300])
     def test_dual_objective_is_at_least_the_random_partner_loops(self, n, kernel):
@@ -664,8 +676,14 @@ class TestOverflowedFeatures:
         ids=["knn", "nb", "svm-rbf", "svm-linear"],
     )
     def test_fit_or_predict_raises_numerical_error_naming_the_classifier(self, model, what):
+        # nb fits on finite-variance rows: on X its variances overflow, so the fit itself raises.
+        train = self.X / 1e200 if isinstance(model, GaussianNbClassifier) else self.X
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"^{what} value is not finite"):
-            model.fit(self.X, self.Y).predict(self.X)
+            model.fit(train, self.Y).predict(self.X)
+
+    def test_overflowed_nb_variance_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="^nb: variance value is not finite"):
+            GaussianNbClassifier().fit(self.X, self.Y)
 
     def test_overflowed_kernel_distance_is_a_numerical_error(self):
         # The linear kernel of these rows is finite; K_ii + K_jj - 2K_ij is not.

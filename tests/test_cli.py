@@ -294,6 +294,64 @@ class TestLoocvAndRun:
         assert "FFT-kNN" in table
 
 
+class TestMultiPipelineRun:
+    IDS = ("FFT-kNN", "DSTFT-SNN-NB")
+    NET_TUNING = ["--snn-init", "2", "--snn-acq", "1", "--tuning-epochs", "1"]
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """(root, stdout) of one run over both ids into root/table and one single-id run per id
+        into root/<id> with the same flags, less the network ones where the id has no network."""
+        root = tmp_path_factory.mktemp("multi")
+        assert main(["synth", "--cases", "4", "--controls", "4", "--channels", "2", "--duration-s", "10",
+                     "--rate", "64", "--noise-sigma", "0.2", "--seed", "7", "--out", str(root / "cohort")]) == 0
+        flags = ["--manifest", str(root / "cohort" / "manifest.json"), "--seed", "4", "--clf-init", "1",
+                 "--clf-acq", "1", "--tuning-k", "2", *TestTrainExtractClassify().net_flags()]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["run", "--pipeline", *self.IDS, *flags, *self.NET_TUNING, "--out", str(root / "table")])
+        assert code == 0
+        for name in self.IDS:
+            net_tuning = self.NET_TUNING if name.startswith("DSTFT") else []
+            assert main(["run", "--pipeline", name, *flags, *net_tuning, "--out", str(root / name)]) == 0
+        return root, stdout.getvalue()
+
+    def test_each_row_directory_equals_its_own_run(self, runs):
+        root, _ = runs
+        assert sorted(p.name for p in (root / "table").iterdir()) == sorted([*self.IDS, "table.txt"])
+        for name in self.IDS:
+            row = {p.name: p.read_bytes() for p in (root / "table" / name).iterdir()}
+            assert "run_manifest.json" in row and ("snn_bo_trace.csv" in row) == name.startswith("DSTFT")
+            assert row == {p.name: p.read_bytes() for p in (root / name).iterdir()}
+
+    def test_table_is_the_report_table_of_the_rows(self, runs, capsys):
+        root, stdout = runs
+        capsys.readouterr()
+        assert main(["report", *(str(root / "table" / name / "report.json") for name in self.IDS)]) == 0
+        table = capsys.readouterr().out
+        assert table.splitlines()[1].startswith("FFT-kNN") and table.splitlines()[2].startswith("DSTFT-SNN-NB")
+        assert (root / "table" / "table.txt").read_text(encoding="utf-8") == table == stdout
+
+    def test_network_flags_reach_only_the_network_rows(self, runs):
+        root, _ = runs
+        budgets = {name: json.loads((root / "table" / name / "pipeline_config.json").read_text())
+                   for name in self.IDS}
+        assert (budgets["FFT-kNN"]["snn_budget"], budgets["FFT-kNN"]["tuning_epochs"]) == (None, None)
+        assert (budgets["DSTFT-SNN-NB"]["snn_budget"], budgets["DSTFT-SNN-NB"]["tuning_epochs"]) == ([2, 1], 1)
+
+    def test_a_flag_that_one_row_rejects_exits_2_before_any_row_runs(self, synth_dir, tmp_path):
+        out = tmp_path / "out"
+        code, err = run_main(["run", "--manifest", manifest_of(synth_dir), "--pipeline", "FFT-kNN", "FFT-SVM",
+                              "--no-tune", "--knn-k", "3", "--out", str(out)])
+        assert code == 2 and "Traceback" not in err
+        assert "flag --knn-k: the classifier is svm, not knn" in err
+        assert list(out.iterdir()) == []
+
+    def test_loocv_takes_one_pipeline(self, synth_dir, tmp_path):
+        assert main(["loocv", "--manifest", manifest_of(synth_dir), "--pipeline", "FFT-kNN", "FFT-SVM",
+                     "--out", str(tmp_path)]) == 1
+
+
 class TestOutputRoot:
     def test_env_var_default_out(self, tmp_path, monkeypatch, capsys):
         root = tmp_path / "from_env"
@@ -414,6 +472,17 @@ class TestClassifierFlags:
         fitted = json.loads((out / "model.json").read_text())["fitted"]
         assert fitted.get("seed") == seed
 
+    def test_classify_says_when_the_svm_fit_stopped_at_the_step_cap(self, table, tmp_path, monkeypatch):
+        argv = ["classify", "--features", table, "--model", "svm", "--out", str(tmp_path / "out")]
+        code, err = run_main(argv)
+        fitted = json.loads((tmp_path / "out" / "model.json").read_text())["fitted"]
+        assert code == 0 and err == "" and fitted["converged"] is True
+        monkeypatch.setattr("specsiam.classify.SVM_MAX_ITER", 0)  # no step, so no fit converges
+        code, err = run_main(argv)
+        fitted = json.loads((tmp_path / "out" / "model.json").read_text())["fitted"]
+        assert code == 0 and fitted["converged"] is False
+        assert err.splitlines() == ["classify: svm fit stopped unconverged after 0 steps"]
+
     @pytest.mark.parametrize(
         "argv, message",
         [(["loocv", "--pipeline", "FFT-NB", "--knn-k", "3", "--svm-c", "99"],
@@ -435,6 +504,10 @@ class TestClassifierFlags:
           "flag --clf-init: run --no-tune tunes nothing"),
          *((["run", "--pipeline", "FFT-SVM", flag, "1"], f"flag {flag}: pipeline FFT-SVM has no network to tune")
            for flag in ("--snn-init", "--snn-acq", "--tuning-epochs")),
+         (["run", "--pipeline", "FFT-kNN", "FFT-SVM", "--snn-acq", "1"],
+          "flag --snn-acq: pipelines FFT-kNN, FFT-SVM have no network to tune"),
+         (["run", "--pipeline", "FFT-kNN", "FFT-SVM", "FFT-kNN", "--no-tune"],
+          "flag --pipeline: FFT-kNN listed more than once"),
          (["loocv", "--pipeline", "FFT-kNN", "--tuning-k", "3"],
           "flag --tuning-k: loocv tunes nothing without --clf-init and --clf-acq"),
          (["run", "--pipeline", "FFT-kNN", "--clf-init", "0"], "n_init must be >= 1"),
@@ -442,7 +515,7 @@ class TestClassifierFlags:
         ids=["loocv-other-kind", "run-other-kind", "run-tuned", "run-tuned-by-default", "loocv-tuned",
              "init-without-acq", "acq-without-init", "loocv-out-of-range", "run-out-of-range",
              *(f"no-tune{flag}" for flag in TUNING_FLAGS), "no-tune-three-flags", "fft--snn-init",
-             "fft--snn-acq", "fft--tuning-epochs", "loocv-tuning-k-alone", "run-zero-init", "loocv-zero-init"],
+             "fft--snn-acq", "fft--tuning-epochs", "fft-list--snn-acq", "repeated-id", "loocv-tuning-k-alone", "run-zero-init", "loocv-zero-init"],
     )
     def test_pipeline_commands_reject_a_flag_by_name(self, synth_dir, tmp_path, argv, message):
         out = tmp_path / "out"
@@ -455,7 +528,7 @@ class TestClassifierFlags:
         assert main(["run", "--manifest", manifest_of(synth_dir), "--pipeline", "FFT-NB", "--clf-acq", "0",
                      "--tuning-k", "2", "--out", str(out)]) == 0
         resolved = json.loads((out / "pipeline_config.json").read_text())
-        assert (resolved["clf_budget"], resolved["snn_budget"], resolved["tuning_k"]) == ([5, 0], [5, 50], 2)
+        assert (resolved["clf_budget"], resolved["snn_budget"], resolved["tuning_k"]) == ([5, 0], None, 2)
 
     def test_flags_of_the_pipeline_kind_reach_every_fold(self, synth_dir, tmp_path):
         out = tmp_path / "out"
@@ -468,23 +541,35 @@ class TestClassifierFlags:
 
 HUGE_TABLE = ("subject_id,channel,f_1,f_2,label\r\n" "a,0,1e200,-3e200,case\r\n" "b,0,2e200,1e200,case\r\n"
               "c,0,-1e200,2e200,control\r\n" "d,0,3e200,-1e200,control\r\n")
+SMALL_TABLE = ("subject_id,channel,f_1,f_2,label\r\n" "a,0,1,-3,case\r\n" "b,0,2,1,case\r\n"
+               "c,0,-1,2,control\r\n" "d,0,3,-1,control\r\n")  # HUGE_TABLE / 1e200
 DISTANT_TABLE = ("subject_id,channel,f_1,label\r\n" "a,0,1.2e154,control\r\n" "b,0,-1.2e154,case\r\n"
                  "c,0,5e153,control\r\n" "d,0,-7e153,case\r\n")  # a finite linear kernel, infinite distances
 
 
 class TestOverflowedFeatures:
-    @pytest.mark.parametrize("model, flags, what",
-                             [("knn", [], "knn: distance"), ("nb", [], "nb: log posterior"),
-                              ("svm", ["--svm-kernel", "rbf"], "svm: rbf kernel"),
-                              ("svm", [], "svm: linear kernel")])
-    def test_classify_predict_exits_3_naming_the_classifier(self, tmp_path, model, flags, what):
-        path = tmp_path / "huge.csv"
+    # nb fits on SMALL_TABLE: on HUGE_TABLE its variances overflow, so the fit itself exits 3.
+    @pytest.mark.parametrize("model, flags, what, train",
+                             [("knn", [], "knn: distance", HUGE_TABLE), ("nb", [], "nb: log posterior", SMALL_TABLE),
+                              ("svm", ["--svm-kernel", "rbf"], "svm: rbf kernel", HUGE_TABLE),
+                              ("svm", [], "svm: linear kernel", HUGE_TABLE)])
+    def test_classify_predict_exits_3_naming_the_classifier(self, tmp_path, model, flags, what, train):
+        path, train_path = tmp_path / "huge.csv", tmp_path / "train.csv"
         path.write_text(HUGE_TABLE, encoding="utf-8")
-        code, err = run_main(["classify", "--features", str(path), "--model", model, "--predict", str(path),
+        train_path.write_text(train, encoding="utf-8")
+        code, err = run_main(["classify", "--features", str(train_path), "--model", model, "--predict", str(path),
                               *flags, "--out", str(tmp_path / "out")])
         assert code == 3 and "Traceback" not in err
         assert f"numerical failure [classify]: {what} value is not finite" in err
         assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    def test_nb_fit_on_overflowing_variances_exits_3(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(HUGE_TABLE, encoding="utf-8")
+        code, err = run_main(["classify", "--features", str(path), "--model", "nb", "--out", str(tmp_path / "out")])
+        assert code == 3 and "Traceback" not in err
+        assert "numerical failure [classify]: nb: variance value is not finite" in err
+        assert not (tmp_path / "out" / "model.json").exists()
 
     @pytest.mark.parametrize("model, evaluations", [("nb", 1), ("svm", 3)])  # nb has no dimension to vary
     def test_tuning_records_each_overflow_as_a_failure(self, tmp_path, model, evaluations):
@@ -531,7 +616,8 @@ class TestOneLineFailures:
     @pytest.mark.parametrize("table, flags, what", [
         (DISTANT_TABLE, ["--model", "svm"], "svm: kernel distance"),
         (HUGE_TABLE, ["--model", "knn", "--predict", "{path}"], "knn: distance"),
-    ], ids=["svm", "knn"])
+        (HUGE_TABLE, ["--model", "nb"], "nb: variance"),
+    ], ids=["svm", "knn", "nb"])
     def test_a_numerical_failure_writes_one_stderr_line(self, tmp_path, table, flags, what):
         path = tmp_path / "table.csv"
         path.write_text(table, encoding="utf-8")
@@ -541,12 +627,12 @@ class TestOneLineFailures:
         assert err.splitlines() == [f"numerical failure [classify]: {what} value is not finite; "
                                     "feature magnitudes are too large"]
 
-    def test_the_cohort_table_script_exits_2_on_a_missing_manifest(self, tmp_path):
+    def test_a_multi_pipeline_run_exits_2_on_a_missing_manifest(self, tmp_path):
         missing = tmp_path / "missing.json"
-        code, err = run_fresh([str(ROOT / "scripts" / "reproduce_cohort_table.py"), "--manifest", str(missing),
-                               "--out", str(tmp_path / "out")])
+        code, err = run_fresh(["-m", "specsiam.cli", "run", "--manifest", str(missing),
+                               "--pipeline", "FFT-kNN", "DSTFT-SNN-kNN", "--out", str(tmp_path / "out")])
         assert code == 2
-        assert err.splitlines() == [f"error [cohort-table]: manifest not found: {missing}"]
+        assert err.splitlines() == [f"error [run]: manifest not found: {missing}"]
 
 
 class TestManifestFields:

@@ -301,6 +301,16 @@ class TestLoocv:
         assert report.warnings == ["fold case00: classifier tuning: all 3 evaluations failed, "
                                    "the first with 'objective out of range'; fitted the default spec"]
 
+    def test_a_capped_svm_fit_warns_naming_the_fold_and_params(self, monkeypatch):
+        ds = micro_cohort(3, 3)
+        config = micro_config(clf_params=None)
+        assert not loocv(ds, "FFT-SVM", config, seed=2).warnings
+        monkeypatch.setattr(evaluate.classify, "SVM_MAX_ITER", 0)  # no step, so no fit converges
+        report = loocv(ds, "FFT-SVM", config, seed=2)
+        params = default_spec(ClassifierKind.SVM).params
+        assert report.warnings == [f"fold {sid}: svm fit with {params} stopped unconverged after 0 steps"
+                                   for sid in sorted(ds.subject_ids)]
+
 
 def noisy_table(n_subjects=12, n_channels=2, seed=0):
     """Overlapping classes, so validation accuracies differ between specs."""
