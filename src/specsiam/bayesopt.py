@@ -377,6 +377,11 @@ def _lbfgsb_lockstep(fun, starts, lower: np.ndarray, upper: np.ndarray, args=())
     return results
 
 
+def _lowest(results) -> np.ndarray:
+    """x of the lockstep result with the lowest f (the first of equals); a non-finite f never beats a finite one."""
+    return min(results, key=lambda r: r[1] if math.isfinite(r[1]) else math.inf)[0]
+
+
 @dataclass
 class GpPosterior:
     """Fitted GP over unit-cube points; predicts standardized-then-descaled values."""
@@ -389,6 +394,7 @@ class GpPosterior:
     y_scale: float
     chol_lower: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
+    jitter: float = 0.0  # what the diagonal needed on top of noise_var before the kernel matrix factored
     # x_train / lengthscales and its squared row norms, fixed for the posterior
     _scaled: np.ndarray = field(init=False, repr=False, compare=False)
     _scaled_norms: np.ndarray = field(init=False, repr=False, compare=False)
@@ -426,6 +432,7 @@ class GpPosterior:
             "lengthscales": self.lengthscales.tolist(),
             "signal_var": self.signal_var,
             "noise_var": self.noise_var,
+            "jitter": self.jitter,
         }
 
 
@@ -536,13 +543,8 @@ def gp_fit(points, values, noise: float | None = None, seed: int = 0) -> GpPoste
         for _ in range(GP_RESTARTS):
             starts.append(np.array([rng.uniform(lo, hi) for lo, hi in bounds]))
         low, high = (np.array(b) for b in zip(*bounds))
-        best_val = math.inf
         args = (x, y_std, noise, x[:, None, :] - x[None, :, :], np.eye(x.shape[0]))
-        for params, fun, _ in _lbfgsb_lockstep(_neg_log_marginal, starts, low, high, args):
-            val = fun if math.isfinite(fun) else 1e9
-            if val < best_val:
-                best_val = val
-                best_params = params
+        best_params = _lowest(_lbfgsb_lockstep(_neg_log_marginal, starts, low, high, args))
 
     ls = np.exp(best_params[:d])
     sf = math.exp(best_params[d])
@@ -551,7 +553,7 @@ def gp_fit(points, values, noise: float | None = None, seed: int = 0) -> GpPoste
     else:
         sn = max(math.exp(best_params[d + 1]), NOISE_FLOOR)
     k = _matern52(x, x, ls, sf)
-    lower, _ = _chol_with_jitter(k, sn)
+    lower, jitter = _chol_with_jitter(k, sn)
     alpha = _cho_solve(lower, y_std, check_finite=False)  # GpPosterior checks lower
     return GpPosterior(
         x_train=x,
@@ -562,6 +564,7 @@ def gp_fit(points, values, noise: float | None = None, seed: int = 0) -> GpPoste
         y_scale=y_scale,
         chol_lower=lower,
         alpha=alpha,
+        jitter=jitter,
     )
 
 
@@ -659,33 +662,22 @@ class BoState:
 def propose_next(state: BoState, space: SearchSpace, restarts: int = 10) -> dict:
     """Maximize EI over the unit cube and map the winner to a raw configuration.
 
-    Deterministic given the state contents and seed. Discrete dimensions snap
-    to their nearest listed value; a proposal that duplicates an evaluated
-    configuration is nudged to the nearest unevaluated discrete neighbor.
+    The winner is the start whose search ends at the lowest −EI (_lowest);
+    setulb keeps every x in the cube. Deterministic given the state contents
+    and seed. Discrete dimensions snap to their nearest listed value; a
+    proposal that duplicates an evaluated configuration is nudged to the
+    nearest unevaluated discrete neighbor.
     """
     if not state.values:
         raise DataError("propose_next requires at least one prior evaluation")
-    x = np.array(state.unit_points)
-    gp = gp_fit(x, np.array(state.values), seed=state.seed)
+    gp = gp_fit(np.array(state.unit_points), np.array(state.values), seed=state.seed)
     state.gp_hyperparams = gp.hyperparams
-    best_value = state.best_value
     d = space.n_dims
     rng = np.random.default_rng(np.random.SeedSequence([state.seed, len(state.values)]))
     starts = list(rng.random((restarts, d)))
     starts.append(np.clip(np.array(state.unit_points[state.best_index]) + 0.05 * rng.standard_normal(d), 0, 1))
-    best_u = None
-    best_ei = -math.inf
-    low, high = np.zeros(d), np.ones(d)
-    for u, _, _ in _lbfgsb_lockstep(_neg_ei_and_grad, starts, low, high, (gp, best_value)):
-        u = np.clip(u, 0.0, 1.0)
-        ei = expected_improvement(gp, u, best_value)
-        if ei > best_ei:
-            best_ei = ei
-            best_u = u
-    assert best_u is not None
-    raw = space.from_unit(best_u)
-    raw = _dedup_discrete(raw, space, state)
-    return raw
+    best_u = _lowest(_lbfgsb_lockstep(_neg_ei_and_grad, starts, np.zeros(d), np.ones(d), (gp, state.best_value)))
+    return _dedup_discrete(space.from_unit(best_u), space, state)
 
 
 def _dedup_discrete(raw: dict, space: SearchSpace, state: BoState) -> dict:
@@ -738,10 +730,7 @@ def optimize(
         raise DataError("n_init must be >= 1")
     state = BoState(space=space, seed=seed)
     if space.n_dims == 0:
-        value = _evaluate(objective, {}, state)
-        state.unit_points.append(np.zeros(0))
-        state.raw_configs.append({})
-        state.values.append(value)
+        _record(state, space, {}, _evaluate(objective, {}, state))
         return {}, state
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     for u in _initial_design(space, n_init, rng):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -313,6 +314,13 @@ def _unfolded(x, k):
         yield slice(lo, lo + step), cols.reshape(part.shape[0], c * k * k, ho * wo)
 
 
+def _fft_workers() -> int:
+    """Threads for scipy.fft: the CPUs this process may run on. workers=-1
+    would take os.cpu_count(), which counts CPUs outside the affinity mask;
+    pocketfft splits independent transforms, so no result depends on it."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _fft_plane(h: int, wd: int) -> tuple[int, int]:
     from scipy import fft as sp_fft
 
@@ -359,10 +367,11 @@ def _fft_chunks(x, w, step):
     h, wd = x.shape[2:]
     k = w.shape[2]
     plane = _fft_plane(h, wd)
-    wfc = sp_fft.rfft2(w, s=plane, workers=-1).conj()
+    workers = _fft_workers()
+    wfc = sp_fft.rfft2(w, s=plane, workers=workers).conj()
     for part, xp in _padded(x, plane, step):
-        xf = sp_fft.rfft2(xp, workers=-1)
-        out = sp_fft.irfft2(_plane_matmul(xf, wfc), s=plane, workers=-1)
+        xf = sp_fft.rfft2(xp, workers=workers)
+        out = sp_fft.irfft2(_plane_matmul(xf, wfc), s=plane, workers=workers)
         yield part, xf, out[:, :, : h - k + 1, : wd - k + 1]
 
 
@@ -375,7 +384,7 @@ def _fft_dx_planes(df, wf, plane, x_hw):
     """The input gradient from the output-gradient and weight spectra."""
     from scipy import fft as sp_fft
 
-    dx = sp_fft.irfft2(_plane_matmul(df, wf.transpose(1, 0, 2, 3)), s=plane, workers=-1)
+    dx = sp_fft.irfft2(_plane_matmul(df, wf.transpose(1, 0, 2, 3)), s=plane, workers=_fft_workers())
     return dx[:, :, : x_hw[0], : x_hw[1]]
 
 
@@ -493,7 +502,8 @@ def _conv_block_backward(dp, cache, w, need_dx: bool):
         from scipy import fft as sp_fft
 
         plane = _fft_plane(h, wd)
-        wf = sp_fft.rfft2(w, s=plane, workers=-1)
+        workers = _fft_workers()
+        wf = sp_fft.rfft2(w, s=plane, workers=workers)
         chunks = saved
         step = max(xf.shape[0] for _, xf in saved)
         padded = np.zeros((step, n_out, *plane))
@@ -514,14 +524,14 @@ def _conv_block_backward(dp, cache, w, need_dx: bool):
                 _add_windows(dx[part], np.matmul(w2t, d3, out=piece), k)
         else:
             padded[:n, :, :ho, :wo] = dz
-            df = sp_fft.rfft2(padded[:n], workers=-1)
+            df = sp_fft.rfft2(padded[:n], workers=workers)
             grad = grad + _fft_dw_planes(df, piece)
             if need_dx:
                 dx[part] = _fft_dx_planes(df, wf, plane, (h, wd))
     if direct:
         dw = grad.reshape(w.shape)
     else:
-        dw = sp_fft.irfft2(grad, s=plane, workers=-1)[:, :, :k, :k]
+        dw = sp_fft.irfft2(grad, s=plane, workers=workers)[:, :, :k, :k]
     # summed image after image, as numpy sums a whole dz over (0, 2, 3)
     return dw, image_sums.sum(axis=0), dx
 

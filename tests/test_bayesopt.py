@@ -24,6 +24,7 @@ from specsiam.bayesopt import (
 )
 from specsiam.classify import ClassifierKind, classifier_search_space
 from specsiam.errors import DataError, NumericalError
+from specsiam.evaluate import snn_search_space
 
 
 def oracle_matern52(xa, xb, lengthscales, signal_var):
@@ -242,6 +243,12 @@ class TestGp:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             gp_fit(np.zeros((0, 1)), np.zeros(0))
+
+    def test_the_fit_records_the_jitter_its_factorisation_needed(self):
+        twice = gp_fit(np.array([[0.5], [0.5], [0.2]]), np.array([1.0, 2.0, 0.0]), noise=0.0)
+        assert twice.jitter >= 1e-10 and twice.hyperparams["jitter"] == twice.jitter
+        distinct = gp_fit(np.array([[0.1], [0.5], [0.9]]), np.array([1.0, 2.0, 0.0]), noise=0.0)
+        assert distinct.jitter == 0.0 and distinct.hyperparams["jitter"] == 0.0
 
 
 class TestAnalyticGradients:
@@ -637,6 +644,84 @@ class TestExpectedImprovement:
         queries = rng.random((1000, 2))
         ei = expected_improvement(gp, queries, float(y.max()))
         assert (ei >= 0.0).all()
+
+
+def ei_search(state, space, restarts=10):
+    """propose_next's GP, its EI search's starts, and the lockstep result of each start."""
+    gp = gp_fit(np.array(state.unit_points), np.array(state.values), seed=state.seed)
+    d = space.n_dims
+    rng = np.random.default_rng(np.random.SeedSequence([state.seed, len(state.values)]))
+    starts = list(rng.random((restarts, d)))
+    starts.append(np.clip(np.array(state.unit_points[state.best_index]) + 0.05 * rng.standard_normal(d), 0, 1))
+    args = (gp, state.best_value)
+    return gp, starts, bayesopt._lbfgsb_lockstep(bayesopt._neg_ei_and_grad, starts, np.zeros(d), np.ones(d), args)
+
+
+def oracle_propose_next(state, space):
+    """propose_next with its former selection: after the search, every start's x is clipped to the
+    cube and scored by expected_improvement, and the first maximum wins."""
+    gp, _, results = ei_search(state, space)
+    best_u, best_ei = None, -math.inf
+    for u, _, _ in results:
+        u = np.clip(u, 0.0, 1.0)
+        ei = expected_improvement(gp, u, state.best_value)
+        if ei > best_ei:
+            best_ei, best_u = ei, u
+    return bayesopt._dedup_discrete(space.from_unit(best_u), space, state)
+
+
+def state_of(space, seed, evaluations):
+    state = BoState(space=space, seed=seed)
+    for raw, value in evaluations:
+        state.unit_points.append(space.to_unit(raw))
+        state.raw_configs.append(dict(raw))
+        state.values.append(value)
+    return state
+
+
+PROPOSAL_SPACES = {
+    "svm": classifier_search_space(ClassifierKind.SVM),
+    "xgb": classifier_search_space(ClassifierKind.XGB),
+    "knn": classifier_search_space(ClassifierKind.KNN),
+    "network": snn_search_space(),
+}
+
+
+class TestProposalSelection:
+    """propose_next takes its winner from the search's own values, as the former EI pass chose it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", sorted(PROPOSAL_SPACES))
+    def test_the_proposal_equals_the_former_ei_pass(self, name, seed, monkeypatch):
+        space = PROPOSAL_SPACES[name]
+        rng = np.random.default_rng([seed, len(name)])
+        n = int(rng.integers(1, 20))
+        raws = [space.from_unit(rng.random(space.n_dims)) for _ in range(n)]
+        if seed % 3 == 0:  # ties between the values
+            values = [float(v) / 2 for v in rng.integers(0, 3, n)]
+        else:
+            values = [float(v) for v in rng.random(n)]
+        state = state_of(space, int(rng.integers(0, 10**6)), zip(raws, values))
+        want = oracle_propose_next(state, space)
+        monkeypatch.setattr(bayesopt, "expected_improvement", None)  # propose_next never calls it
+        assert propose_next(state, space) == want
+
+    def test_a_state_where_every_start_ends_at_zero_ei_proposes_the_first_start(self):
+        # every k scored 0 three times and k=5 once 1.0: the GP takes the 1.0 for noise,
+        # so EI underflows to 0 everywhere and all eleven starts tie
+        space = PROPOSAL_SPACES["knn"]
+        evaluations = [({"k": k}, 0.0) for k in space.dims[0].values] * 3 + [({"k": 5}, 1.0)]
+        state = state_of(space, 0, evaluations)
+        _, starts, results = ei_search(state, space)
+        assert [f for _, f, _ in results] == [0.0] * 11
+        assert propose_next(state, space) == oracle_propose_next(state, space)
+        assert propose_next(state, space) == bayesopt._dedup_discrete(space.from_unit(starts[0]), space, state)
+
+    def test_lowest_prefers_the_first_of_equal_finite_values(self):
+        a, b, c = np.zeros(1), np.ones(1), np.full(1, 0.5)
+        assert bayesopt._lowest([(a, math.nan, 1), (b, 2.0, 1), (c, 2.0, 1)]) is b
+        assert bayesopt._lowest([(a, 3.0, 1), (b, -math.inf, 1), (c, 1.0, 1)]) is c
+        assert bayesopt._lowest([(a, math.nan, 1), (b, math.inf, 1)]) is a
 
 
 class TestProposeAndOptimize:

@@ -8,6 +8,7 @@ must match to 1e-12 relative. This holds for both convolution paths, with
 and without pooling, and for batches that do not split evenly into chunks.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -83,6 +84,28 @@ def test_block_matches_layer_oracles(c_in, k, b, pool, chunk_bytes, monkeypatch)
     assert no_dx is None
     np.testing.assert_array_equal(dw_only, dw)
     np.testing.assert_array_equal(db_only, db)
+
+
+def test_fft_threads_are_the_cpus_the_process_may_run_on():
+    assert siamese._fft_workers() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, siamese.UNFOLD_CHUNK_BYTES], ids=["tiny-chunks", "default"])
+@pytest.mark.parametrize("c_in, k", [(2, 12), (8, 5)], ids=["conv1-like", "conv2-like"])
+def test_fft_blocks_are_bit_identical_on_one_and_two_threads(c_in, k, chunk_bytes, monkeypatch):
+    monkeypatch.setattr(siamese, "UNFOLD_CHUNK_BYTES", chunk_bytes)
+    x, w, bias, _ = block_case(5, c_in, k, seed=7)
+    assert not _is_direct(w)
+    runs = []
+    for workers in (1, 2):
+        asked = []
+        monkeypatch.setattr(siamese, "_fft_workers", lambda: asked.append(workers) or workers)
+        p, cache = _conv_block(x, w, bias, True)
+        dp = np.random.default_rng(8).standard_normal(p.shape)
+        runs.append((p, *_conv_block_backward(dp, cache, w, need_dx=True)))
+        assert asked  # the blocks take their thread count from the helper
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("b", range(1, 12))
