@@ -8,8 +8,8 @@ checkouts (`<checkout>/.perfbench`). Their untraced run records,
 `results/<workload>-seed<n>-trace0.json`, are paired by workload and seed;
 every record must have its partner. For each workload and each end-to-end
 metric of BENCHMARK.json the file gives each side's median and quartiles, the
-seeds of the pairs where the change read lower, the metric's bound and a
-verdict:
+seeds of the pairs where the change read lower, each pair's change/parent
+ratio (in seed order) and their median, the metric's bound and a verdict:
 
 - "unresolved" when the parent's interquartile range exceeds the bound (as a
   share of its median), unless every change run reads better than every
@@ -17,6 +17,10 @@ verdict:
 - "worse" when the change's median is worse than the parent's by more than
   the bound;
 - "within bound" otherwise.
+
+The pair ratios are information only: on a workload whose seeds are distinct
+cohorts, the parent's spread across seeds can leave a verdict unresolved
+while the pairs agree on a ratio.
 
 Each pair also says whether its report sha256 values match, and the file
 lists the distinct nproc, CPU affinity, numpy and scipy versions that the
@@ -97,6 +101,7 @@ def compare(seeds: list[int], parent: list[float], change: list[float], metric: 
     sign = 1.0 if metric["better"] == "lower" else -1.0
     p, c = quartiles(parent), quartiles(change)
     every_run_better = max(sign * x for x in change) < min(sign * x for x in parent)
+    pair_ratios = [y / x for x, y in zip(parent, change)]
     if (p["q3"] - p["q1"]) / p["median"] > metric["bound"] and not every_run_better:
         verdict = "unresolved"
     elif sign * (c["median"] - p["median"]) / p["median"] > metric["bound"]:
@@ -111,6 +116,8 @@ def compare(seeds: list[int], parent: list[float], change: list[float], metric: 
         "change": c,
         "ratio": c["median"] / p["median"],
         "change_lower": [s for s, x, y in zip(seeds, parent, change) if y < x],
+        "pair_ratios": pair_ratios,
+        "median_pair_ratio": quartiles(pair_ratios)["median"],
         "verdict": verdict,
     }
 
@@ -153,7 +160,8 @@ def summary(bench: dict) -> list[str]:
         for metric, m in workload["metrics"].items():
             p, c = m["parent"], m["change"]
             lines.append(f"  {metric:12s} {p['median']:.4g} ({p['q1']:.4g}-{p['q3']:.4g}) -> {c['median']:.4g}"
-                         f"  {m['ratio']:.2f}x  lower {len(m['change_lower'])}/{n}  {m['verdict']}")
+                         f"  {m['ratio']:.2f}x  pairs {m['median_pair_ratio']:.2f}x"
+                         f"  lower {len(m['change_lower'])}/{n}  {m['verdict']}")
     return lines
 
 

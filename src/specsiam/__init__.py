@@ -13,7 +13,6 @@ from .signals import (
     Dataset,
     EegRecording,
     Label,
-    TEN_TWENTY_CHANNELS,
     dataset_subset,
     generate_synthetic_cohort,
     load_dataset,

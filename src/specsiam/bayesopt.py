@@ -57,6 +57,7 @@ __all__ = [
 
 NOISE_FLOOR = 1e-6
 GP_RESTARTS = 3  # random starts of the marginal-likelihood fit, after the default one
+EI_RESTARTS = 10  # random starts of the EI search, before the one near the best point
 
 
 def _within(value: float, u: float, low: float, high: float) -> float:
@@ -659,7 +660,7 @@ class BoState:
         return dict(self.raw_configs[self.best_index])
 
 
-def propose_next(state: BoState, space: SearchSpace, restarts: int = 10) -> dict:
+def propose_next(state: BoState, space: SearchSpace) -> dict:
     """Maximize EI over the unit cube and map the winner to a raw configuration.
 
     The winner is the start whose search ends at the lowest −EI (_lowest);
@@ -674,7 +675,7 @@ def propose_next(state: BoState, space: SearchSpace, restarts: int = 10) -> dict
     state.gp_hyperparams = gp.hyperparams
     d = space.n_dims
     rng = np.random.default_rng(np.random.SeedSequence([state.seed, len(state.values)]))
-    starts = list(rng.random((restarts, d)))
+    starts = list(rng.random((EI_RESTARTS, d)))
     starts.append(np.clip(np.array(state.unit_points[state.best_index]) + 0.05 * rng.standard_normal(d), 0, 1))
     best_u = _lowest(_lbfgsb_lockstep(_neg_ei_and_grad, starts, np.zeros(d), np.ones(d), (gp, state.best_value)))
     return _dedup_discrete(space.from_unit(best_u), space, state)

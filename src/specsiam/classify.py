@@ -589,12 +589,10 @@ class GradientBoostingClassifier:
             self.train_loss_trace.append(self._log_loss(yf, scores))
         return self
 
-    def decision_function(self, x, n_rounds: int | None = None):
+    def decision_function(self, x):
         x = _check_features(x, self.n_features_)
-        if n_rounds is None:
-            n_rounds = len(self.trees)
         scores = np.full(x.shape[0], self.f0)
-        for tree in self.trees[:n_rounds]:
+        for tree in self.trees:
             scores = scores + self.learning_rate * _tree_predict(tree, x)
         return scores
 

@@ -319,17 +319,10 @@ def classifier_folds(
 def kfold_classifier_objective(
     table: LabeledFeatures,
     spec: ClassifierSpec,
-    k: int = 5,
-    seed: int = 0,
-    folds: list[tuple[LabeledFeatures, LabeledFeatures, int]] | None = None,
+    folds: list[tuple[LabeledFeatures, LabeledFeatures, int]],
 ) -> float:
-    """Mean channel-instance validation accuracy over stratified subject folds.
-
-    folds, when given, is classifier_folds(table, k, seed), built once by a
-    caller that scores many specs on one table.
-    """
-    if folds is None:
-        folds = classifier_folds(table, k, seed)
+    """Mean channel-instance validation accuracy of spec over folds, which are
+    classifier_folds(table, k, seed), built once by a caller that scores many specs."""
     accuracies = []
     for train_table, val_table, fit_seed in folds:
         model = classify.fit(spec, train_table, seed=fit_seed)
@@ -477,7 +470,7 @@ def tune_classifier(
         spec = ClassifierSpec(kind, raw)
         if not folds:
             folds.extend(classifier_folds(table, k, fold_seed))
-        return kfold_classifier_objective(table, spec, k=k, seed=fold_seed, folds=folds)
+        return kfold_classifier_objective(table, spec, folds=folds)
 
     best, state = optimize(objective, space, n_init=n_init, n_acquisitions=n_acquisitions, seed=seed)
     return ClassifierSpec(kind, best), state

@@ -98,20 +98,22 @@ def _group_by_subject_pair(pairs) -> list[tuple[tuple[str, str], list[PairExampl
     return list(groups.items())
 
 
-def batch_iter(pairs, subject_pairs_per_batch: int = 16, shuffle_seed: int = 0):
-    """Yield batches of whole subject-pair groups, shuffled at group granularity.
+SUBJECT_PAIRS_PER_BATCH = 16  # the paper's 256 pairs per batch at 16 channels
+
+
+def batch_iter(pairs, shuffle_seed: int = 0):
+    """Yield batches of SUBJECT_PAIRS_PER_BATCH whole subject-pair groups,
+    shuffled at group granularity.
 
     Every subject-pair appears exactly once per epoch; the final batch may hold
     fewer groups. Shuffling is deterministic in shuffle_seed and never splits a
     group, so each batch size is a multiple of the channel count.
     """
-    if subject_pairs_per_batch < 1:
-        raise DataError("subject_pairs_per_batch must be >= 1")
     groups = _group_by_subject_pair(pairs)
     rng = np.random.default_rng(shuffle_seed)
     order = rng.permutation(len(groups))
-    for start in range(0, len(groups), subject_pairs_per_batch):
-        chunk = order[start : start + subject_pairs_per_batch]
+    for start in range(0, len(groups), SUBJECT_PAIRS_PER_BATCH):
+        chunk = order[start : start + SUBJECT_PAIRS_PER_BATCH]
         members: list[PairExample] = []
         for gi in chunk:
             members.extend(groups[gi][1])

@@ -586,10 +586,10 @@ def _stage2_backward(model: SiameseModel, df: np.ndarray, cache):
     return grads, da1
 
 
-def _forward_base(model: SiameseModel, x: np.ndarray, masks=None) -> np.ndarray:
-    """Features of a (N, H, W) stack, one row per image (each image its own twin row)."""
+def _forward_base(model: SiameseModel, x: np.ndarray) -> np.ndarray:
+    """Eval-mode features of a (N, H, W) stack, one row per image (each image its own twin row)."""
     p1, _ = _stage1_forward(model, x)
-    f, _ = _stage2_forward(model, p1, masks)
+    f, _ = _stage2_forward(model, p1, None)
     return f
 
 
@@ -734,20 +734,13 @@ def sample_dropout_masks(model: SiameseModel, n_pairs: int) -> dict:
     return {"a": draw(), "b": draw()}
 
 
-def base_forward(model: SiameseModel, image, train_mode: bool = False) -> np.ndarray:
-    """Feature vector of one image; softmax output on the simplex.
-
-    Eval mode is deterministic; train mode draws dropout masks from the model
-    rng.
-    """
+def base_forward(model: SiameseModel, image) -> np.ndarray:
+    """Eval-mode (deterministic) feature vector of one image; softmax output
+    on the simplex."""
     x = _image_array(image)
     if x.shape != tuple(model.input_shape):
         raise DataError(f"image shape {x.shape} does not match model input {model.input_shape}")
-    masks = None
-    if train_mode and model.config.dropout_p > 0.0:
-        m = sample_dropout_masks(model, 1)
-        masks = m["a"]
-    f = _forward_base(model, x[None], masks)
+    f = _forward_base(model, x[None])
     if not np.isfinite(f).all():
         raise NumericalError("non-finite activation in forward pass")
     return f[0]
@@ -845,7 +838,11 @@ def extract_features(model: SiameseModel, dataset: Dataset, images) -> LabeledFe
 
 
 def pair_accuracy(model: SiameseModel, pairs, images, tau: float = 0.5) -> float:
-    """Fraction of pairs where thresholded distance agrees with the neighbor label."""
+    """Fraction of pairs where thresholded distance agrees with the neighbor label.
+
+    Raises NumericalError on a non-finite feature row: its distances are NaN,
+    and NaN < tau would score every non-neighbour pair of it as correct.
+    """
     if not (0.0 < tau < 1.0):
         raise DataError("tau must lie in (0, 1)")
     pairs = list(pairs)
@@ -857,6 +854,10 @@ def pair_accuracy(model: SiameseModel, pairs, images, tau: float = 0.5) -> float
         _forward_base(model, _stack_images(keys[lo : lo + chunk], images))
         for lo in range(0, len(keys), chunk)
     ])
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        subject, channel = keys[int(np.argmin(finite))]
+        raise NumericalError(f"non-finite features for subject '{subject}' channel {channel}")
     d = _pair_distances(features[rows_a], features[rows_b])
     y = np.array([p.y for p in pairs])
     return int(((d < tau) == (y == 1)).sum()) / len(pairs)

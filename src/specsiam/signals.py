@@ -26,7 +26,6 @@ __all__ = [
     "EegRecording",
     "Dataset",
     "BandComponent",
-    "TEN_TWENTY_CHANNELS",
     "DEFAULT_CASE_PROFILE",
     "DEFAULT_CONTROL_PROFILE",
     "read_signal_csv",
@@ -43,13 +42,6 @@ class Label(Enum):
 
     CASE = "case"
     CONTROL = "control"
-
-
-# 10-20 electrode names of the target recording montage, in recording order.
-TEN_TWENTY_CHANNELS = (
-    "F7", "F3", "F4", "F8", "T3", "C3", "Cz", "C4",
-    "T4", "T5", "P3", "Pz", "P4", "T6", "O1", "O2",
-)
 
 
 @dataclass(frozen=True)

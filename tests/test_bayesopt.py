@@ -646,12 +646,12 @@ class TestExpectedImprovement:
         assert (ei >= 0.0).all()
 
 
-def ei_search(state, space, restarts=10):
+def ei_search(state, space):
     """propose_next's GP, its EI search's starts, and the lockstep result of each start."""
     gp = gp_fit(np.array(state.unit_points), np.array(state.values), seed=state.seed)
     d = space.n_dims
     rng = np.random.default_rng(np.random.SeedSequence([state.seed, len(state.values)]))
-    starts = list(rng.random((restarts, d)))
+    starts = list(rng.random((bayesopt.EI_RESTARTS, d)))
     starts.append(np.clip(np.array(state.unit_points[state.best_index]) + 0.05 * rng.standard_normal(d), 0, 1))
     args = (gp, state.best_value)
     return gp, starts, bayesopt._lbfgsb_lockstep(bayesopt._neg_ei_and_grad, starts, np.zeros(d), np.ones(d), args)
@@ -733,16 +733,18 @@ class TestProposeAndOptimize:
         state.values.append(1.0)
         return state
 
-    def test_proposal_within_bounds(self):
+    def test_proposal_within_bounds(self, monkeypatch):
+        monkeypatch.setattr(bayesopt, "EI_RESTARTS", 6)
         space = SearchSpace((Continuous("x", -5.0, 5.0),))
         state = self.one_point_state(space)
-        raw = propose_next(state, space, restarts=6)
+        raw = propose_next(state, space)
         assert -5.0 <= raw["x"] <= 5.0
 
-    def test_proposal_moves_away_from_single_point(self):
+    def test_proposal_moves_away_from_single_point(self, monkeypatch):
+        monkeypatch.setattr(bayesopt, "EI_RESTARTS", 8)
         space = SearchSpace((Continuous("x", 0.0, 1.0),))
         state = self.one_point_state(space)
-        raw = propose_next(state, space, restarts=8)
+        raw = propose_next(state, space)
         gp = gp_fit(np.array(state.unit_points), np.array(state.values), seed=0)
         grid = np.linspace(0.0, 1.0, 501)[:, None]
         grid_ei = expected_improvement(gp, grid, 1.0)
@@ -750,24 +752,26 @@ class TestProposeAndOptimize:
         assert abs(raw["x"] - 0.5) > 0.05
         assert proposal_ei >= grid_ei.max() * (1.0 - 1e-6)
 
-    def test_discrete_proposals_stay_listed(self):
+    def test_discrete_proposals_stay_listed(self, monkeypatch):
+        monkeypatch.setattr(bayesopt, "EI_RESTARTS", 6)
         space = SearchSpace((Discrete("k", tuple(range(3, 13))),))
         state = BoState(space=space, seed=1)
         for v, score in ((3, 0.2), (7, 0.9), (12, 0.1)):
             state.unit_points.append(space.to_unit({"k": v}))
             state.raw_configs.append({"k": v})
             state.values.append(score)
-        raw = propose_next(state, space, restarts=6)
+        raw = propose_next(state, space)
         assert raw["k"] in range(3, 13)
 
-    def test_duplicate_discrete_proposals_jittered(self):
+    def test_duplicate_discrete_proposals_jittered(self, monkeypatch):
+        monkeypatch.setattr(bayesopt, "EI_RESTARTS", 6)
         space = SearchSpace((Discrete("k", (3, 4, 5)),))
         state = BoState(space=space, seed=2)
         for v, score in ((3, 0.1), (4, 0.9)):
             state.unit_points.append(space.to_unit({"k": v}))
             state.raw_configs.append({"k": v})
             state.values.append(score)
-        raw = propose_next(state, space, restarts=6)
+        raw = propose_next(state, space)
         assert raw["k"] == 5  # the only unevaluated value
 
     def test_optimize_constant_objective(self):

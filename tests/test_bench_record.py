@@ -67,6 +67,9 @@ def test_a_bench_file_gives_quartiles_lower_pairs_and_verdicts(tmp_path, capsys)
     assert run_s["ratio"] == pytest.approx(0.9)
     assert (run_s["bound"], run_s["unit"], run_s["better"]) == (0.24, "s", "lower")
     assert run_s["change_lower"] == list(SEEDS)
+    assert run_s["pair_ratios"] == pytest.approx([0.9] * 10)
+    assert run_s["median_pair_ratio"] == pytest.approx(0.9)
+    assert workload["metrics"]["setup_s"]["pair_ratios"] == pytest.approx([1.01] * 10)
     verdicts = {name: m["verdict"] for name, m in workload["metrics"].items()}
     assert verdicts == {"run_s": "within bound", "cpu_s": "worse", "setup_s": "unresolved",
                         "peak_rss_mb": "within bound"}
@@ -74,6 +77,7 @@ def test_a_bench_file_gives_quartiles_lower_pairs_and_verdicts(tmp_path, capsys)
     assert [p["sha256_equal"] for p in workload["pairs"]] == [seed != 103 for seed in SEEDS]
     assert workload["pairs"][0] == {"seed": 100, "sha256_equal": True, "parent": parent_run(0), "change": change_run(0)}
     assert "synth-snn: 10 pairs, report sha256 equal in 9" in out
+    assert "0.90x  pairs 0.90x  lower 10/10  within bound" in out
     assert "wrote" in out.splitlines()[-1]
 
 
@@ -86,6 +90,25 @@ def test_a_spread_parent_is_resolved_when_every_change_run_reads_better(tmp_path
     metrics = json.loads((tmp_path / "BENCH_7.json").read_text())["workloads"]["fft-baselines"]["metrics"]
     assert metrics["setup_s"]["verdict"] == "within bound"
     assert metrics["run_s"]["change_lower"] == []  # equal values are not lower
+
+
+def test_pair_ratios_show_what_the_spread_of_cohorts_leaves_unresolved(tmp_path, capsys):
+    # each seed its own cohort: the parent's run_s spreads by seed, far past
+    # the 0.24 bound, while every pair reads the change at 0.97-0.99
+    def parent(i):
+        return {**parent_run(i), "run_s": 1.0 + 0.2 * i}
+
+    def change(i):
+        return {**parent(i), "run_s": (0.97 + 0.01 * (i % 3)) * parent(i)["run_s"]}
+
+    write_pairs(tmp_path, "synth-snn", parent, change)
+    code, out, _ = run(tmp_path, capsys)
+    assert code == 0
+    run_s = json.loads((tmp_path / "BENCH_7.json").read_text())["workloads"]["synth-snn"]["metrics"]["run_s"]
+    assert run_s["verdict"] == "unresolved"  # the ratios inform; they do not decide
+    assert run_s["pair_ratios"] == pytest.approx([0.97, 0.98, 0.99, 0.97, 0.98, 0.99, 0.97, 0.98, 0.99, 0.97])
+    assert run_s["median_pair_ratio"] == pytest.approx(0.98)
+    assert "pairs 0.98x" in out
 
 
 @pytest.mark.parametrize("break_it, message", [

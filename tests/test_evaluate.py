@@ -13,6 +13,7 @@ from specsiam.evaluate import (
     PIPELINES,
     PipelineConfig,
     audit_no_leakage,
+    classifier_folds,
     compute_metrics,
     fft_feature_table,
     kfold_classifier_objective,
@@ -198,13 +199,13 @@ class TestKfoldObjectives:
     def test_perfect_fixture_scores_one(self):
         table = self.perfect_table()
         spec = ClassifierSpec(ClassifierKind.KNN, {"k": 3})
-        assert kfold_classifier_objective(table, spec, k=5, seed=0) == 1.0
+        assert kfold_classifier_objective(table, spec, classifier_folds(table, 5, 0)) == 1.0
 
     def test_deterministic(self):
         table = self.perfect_table(12)
         spec = ClassifierSpec(ClassifierKind.RF, {"n_estimators": 5})
-        a = kfold_classifier_objective(table, spec, k=3, seed=4)
-        b = kfold_classifier_objective(table, spec, k=3, seed=4)
+        a = kfold_classifier_objective(table, spec, classifier_folds(table, 3, 4))
+        b = kfold_classifier_objective(table, spec, classifier_folds(table, 3, 4))
         assert a == b
 
     def test_snn_objective_runs_and_scores(self):
@@ -353,9 +354,10 @@ class TestTuning:
 
         built_once = trace()
         original = evaluate.kfold_classifier_objective
+        fold_seed = evaluate._derive_seed(4, 23)
         monkeypatch.setattr(
             evaluate, "kfold_classifier_objective",
-            lambda table, spec, k, seed, folds: original(table, spec, k=k, seed=seed),
+            lambda table, spec, folds: original(table, spec, classifier_folds(table, k, fold_seed)),
         )
         assert trace() == built_once
         if n_subjects < k:  # every evaluation fails as it did when each built its folds

@@ -288,12 +288,13 @@ class TestForward:
         b = base_forward(model, image)
         np.testing.assert_array_equal(a, b)
 
-    def test_train_mode_draws_dropout(self):
+    def test_dropout_masks_change_the_forward(self):
         model, _, images = tiny_setup(2)
         image = images[("s0", 0)]
         eval_out = base_forward(model, image)
-        train_out = base_forward(model, image, train_mode=True)
-        assert not np.allclose(eval_out, train_out)
+        p1, _ = siamese._stage1_forward(model, image[None])
+        train_out, _ = siamese._stage2_forward(model, p1, sample_dropout_masks(model, 1)["a"])
+        assert not np.allclose(eval_out, train_out[0])
 
     @pytest.mark.parametrize("pooling", ["none", "max2x2"])
     def test_matches_scalar_oracle(self, pooling):
@@ -555,6 +556,24 @@ class TestFeaturesAndAccuracy:
         table = extract_features(model, dataset, images)
         np.testing.assert_array_equal(table.x[0], table.x[1])
 
+    def test_a_subjects_features_do_not_depend_on_the_other_subjects(self):
+        # At the paper image shape and k=3 the fc product (K = 6,240) rounds
+        # differently as its row count changes: one forward of all 128 images
+        # differs in the last bits from per-subject forwards. Per-subject
+        # batching keeps extract on a sub-cohort equal to run's features.csv.
+        shape, names = (129, 59), tuple(f"c{ch}" for ch in range(16))
+        model = init_model(NetConfig(kernel_size=3, seed=0), shape)
+        rng = np.random.default_rng(8)
+        recs = tuple(EegRecording(f"s{i}", (Label.CASE, Label.CONTROL)[i % 2], 8.0, names, np.zeros((16, 16)))
+                     for i in range(8))
+        images = {(rec.subject_id, ch): rng.random(shape) for rec in recs for ch in range(16)}
+        whole = extract_features(model, Dataset(recs, names), images)
+        for cohort in ([recs[3]], recs[5:1:-2], recs[::-1]):
+            part = extract_features(model, Dataset(tuple(cohort), names), images)
+            for row, (sid, ch) in enumerate(zip(part.subject_ids, part.channels)):
+                i = whole.subject_ids.index(sid) + ch
+                assert part.x[row].tobytes() == whole.x[i].tobytes(), (sid, ch)
+
     def test_image_shape_other_than_model_input_is_data_error(self):
         model = init_model(NetConfig(kernel_size=3, conv1_filters=1, conv2_filters=1,
                                      output_dim=2, pooling="none", seed=5), (8, 8))
@@ -635,6 +654,15 @@ class TestFeaturesAndAccuracy:
         pairs, images = self.many_image_pairs(model)
         del images[("s299", 1)]
         with pytest.raises(DataError, match=r"pair member \('s299', 1\)"):
+            pair_accuracy(model, pairs, images)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_pair_accuracy_rejects_non_finite_features(self):
+        # NaN distances fail d < tau, so each non-neighbour pair would score as correct
+        model, _, _ = tiny_setup(35)
+        pairs, images = self.many_image_pairs(model, n_subjects=4)
+        model.fc_w[0, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite features for subject 's0' channel 0"):
             pair_accuracy(model, pairs, images)
 
     def test_pair_accuracy_validation(self):
