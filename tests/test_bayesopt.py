@@ -508,6 +508,10 @@ class TestDirectLapack:
         wide = rng.standard_normal((n, 5))
         return [rng.standard_normal(n), wide, wide[:, 2], np.eye(n)]  # wide[:, 2] is a strided view
 
+    def test_the_routines_are_those_scipy_linalg_picks(self):
+        picked = sp_linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), (np.empty((1, 1)),))
+        assert all(mine is theirs for mine, theirs in zip(bayesopt._lapack(), picked, strict=True))
+
     @pytest.mark.parametrize("n", [1, 2, 9, 55])
     def test_cholesky_and_cho_solve_match_scipy(self, n):
         a = self.spd(n, seed=n)

@@ -1,7 +1,8 @@
 """Convolution and pooling kernels of the twin network, pinned to their oracles.
 
 The layers under test are the per-layer forms of tests/oracles.py, built from
-the network's kernels.
+the network's kernels. The network's transforms call pocketfft directly and
+must equal the scipy.fft functions whose arguments they copy, bit for bit.
 
 Each convolution op has a direct and an FFT implementation; both are forced
 here on the same inputs and must agree to 1e-12 relative. The strided max-pool
@@ -11,6 +12,7 @@ outputs and gradients, ties included.
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from oracles import (
     _conv_dw,
@@ -86,6 +88,46 @@ class TestDirectMatchesFft:
         # channels only at k=3
         assert [k for k in KERNEL_SIZES if _is_direct(np.empty((1, 1, k, k)))] == list(range(3, 11))
         assert [k for k in KERNEL_SIZES if _is_direct(np.empty((1, 8, k, k)))] == [3]
+
+
+# (image shape, conv1 filters, k, conv): the paper net's FFT-path layers at
+# k=5 and k=12 (129x59 images, filters 8/16) and the synthetic criterion-7
+# net's layers at k=3 and k=5 (65x29, filters 4/8), whose planes the bench
+# times
+NET_LAYERS = [
+    ((129, 59), 8, 5, 2), ((129, 59), 8, 12, 1), ((129, 59), 8, 12, 2),
+    ((65, 29), 4, 3, 1), ((65, 29), 4, 3, 2), ((65, 29), 4, 5, 1), ((65, 29), 4, 5, 2),
+]
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8))
+
+
+class TestPocketfftCallsMatchScipyFft:
+    @pytest.mark.parametrize("image, c1, k, conv", NET_LAYERS)
+    def test_rfft2_irfft2_and_plane_equal_scipy_fft(self, image, c1, k, conv):
+        if conv == 1:
+            c_in, c_out, (h, w) = 1, c1, image
+        else:
+            c_in, c_out, (h, w) = c1, 2 * c1, ((image[0] - k + 1) // 2, (image[1] - k + 1) // 2)
+        plane = siamese._fft_plane(h, w)
+        assert plane == (sp_fft.next_fast_len(h), sp_fft.next_fast_len(w))
+        workers = siamese._fft_workers()
+        rng = np.random.default_rng(1000 * k + h)
+        x = np.zeros((3, c_in, *plane))  # as _padded hands it over
+        x[:, :, :h, :w] = rng.standard_normal((3, c_in, h, w))
+        wt = rng.standard_normal((c_out, c_in, k, k))  # padded to the plane by _rfft2, as by scipy
+        xf = siamese._rfft2(x, plane, workers)
+        wf = siamese._rfft2(wt, plane, workers)
+        assert_same_bytes(xf, sp_fft.rfft2(x, s=plane, workers=workers))
+        assert_same_bytes(wf, sp_fft.rfft2(wt, s=plane, workers=workers))
+        products = siamese._plane_matmul(xf, wf.conj())  # a transposed view, as the network inverts
+        assert not products.flags.c_contiguous
+        for spectrum in (products, xf):
+            assert_same_bytes(siamese._irfft2(spectrum, plane, workers),
+                              sp_fft.irfft2(spectrum, s=plane, workers=workers))
 
 
 def oracle_pool_forward(x):
