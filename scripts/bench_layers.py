@@ -15,20 +15,19 @@ first-call costs. The child reads its peak from VmHWM in /proc/self/status
 ru_maxrss of a child of this script would also count the pages it shared
 with this script before it exec'd.
 
-Times both convolution algorithms (FFT and direct) on forward, kernel
-gradient (dW) and input gradient (dX) for conv1 and conv2 at two shapes:
-the synthetic criterion-7 net (65x29 images, filters 4/8, k=3 and 5, 32
-images) and the paper net (129x59 images, filters 8/16, k = 3, 5, 12, 96
-images), plus 2x2 max pooling forward and backward on the conv outputs. Each
+The second table times what the network runs: the fused conv -> bias ->
+ReLU -> 2x2 pool forward (`_conv_block`) and its backward
+(`_conv_block_backward`, with dX for conv2 only), on each convolution
+algorithm in turn, at two shapes: the synthetic criterion-7 net (65x29
+images, filters 4/8, 32 images) and the paper net (129x59 images, filters
+8/16, 96 images), at every kernel size that fits the net
+(`fitting_kernel_sizes`). The script forces each path by setting
+DIRECT_CONV_MAX_FAN_IN around the call; the `rule` column is the path that
+the network takes (fan-in C_in*k*k against DIRECT_CONV_MAX_FAN_IN). Each
 figure is the best of --repeats calls, in milliseconds, on one thread pinned
-to one CPU. The `path` column is the algorithm the network uses for the
-layer (fan-in C_in*k*k against DIRECT_CONV_MAX_FAN_IN). This layer table
-times the per-layer reference forms of tests/oracles.py, which the network
-never calls. The block table times what the network runs: the fused
-conv -> bias -> ReLU -> 2x2 pool forward (`_conv_block`) and its backward
-(`_conv_block_backward`, with dX for conv2 only) at the same shapes.
+to one CPU.
 
-A second table times the stages behind the FFT baseline rows, best of
+A third table times the stages behind the FFT baseline rows, best of
 --repeats calls in milliseconds: one default gradient-boosting fit (50 trees
 of depth 3) on a 10x301 table (the FFT features of a 10-s, 64-Hz channel) and
 on a 128x8 table (twin-network features); one linear and one rbf SVM fit
@@ -40,7 +39,7 @@ rows (a twin-feature LOOCV fold at paper scale); and one `gp_fit` and one
 (d = 3; 15 is the default classifier budget of 5 + 10) and n = 55 on the
 network search space (d = 6; the default network budget of 5 + 50).
 
-A third table times one training step (loss and every gradient, dropout on)
+A fourth table times one training step (loss and every gradient, dropout on)
 of the default net at the paper batch shape, for k = 3, 5 and 12: 16
 subject pairs over 27 distinct subjects, 16 channels, so 256 pairs of 129x59
 images, 512 twin rows over 432 distinct images. It is the best of
@@ -64,19 +63,18 @@ if hasattr(os, "sched_setaffinity"):
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src")]
 
 import numpy as np  # noqa: E402
 
-import oracles as O  # noqa: E402
 from specsiam import bayesopt, classify, evaluate, signals  # noqa: E402
 from specsiam.pairing import PairBatch, PairExample  # noqa: E402
 from specsiam import siamese as S  # noqa: E402
 
-# (name, batch, image shape, conv1 filters, conv2 filters, kernel sizes)
+# (name, batch, image shape, conv1 filters, conv2 filters)
 NETS = [
-    ("synth", 32, (65, 29), 4, 8, (3, 5)),
-    ("paper", 96, (129, 59), 8, 16, (3, 5, 12)),
+    ("synth", 32, (65, 29), 4, 8),
+    ("paper", 96, (129, 59), 8, 16),
 ]
 
 
@@ -140,46 +138,24 @@ def cold_start_rows(repeats):
         print(f"| {row} | {1e3 * wall:.0f} | {ms:.1f} | {rss:.1f} |", flush=True)
 
 
-def conv_rows(name, b, c_in, c_out, hw, k, repeats, rng):
-    x = rng.standard_normal((b, c_in, *hw))
-    w = rng.standard_normal((c_out, c_in, k, k))
-    dout = rng.standard_normal((b, c_out, hw[0] - k + 1, hw[1] - k + 1))
-    _, fft_cache = O._fft_forward(x, w)
-    ops = [
-        ("fwd", (O._fft_forward, x, w), (O._direct_forward, x, w)),
-        ("dW", (O._fft_dw, fft_cache, dout, k), (O._direct_dw, x, dout, k)),
-    ]
-    if c_in > 1:  # the network never needs dX of conv1
-        ops.append(("dX", (O._fft_dx, dout, w, x.shape), (O._direct_dx, dout, w, x.shape)))
-    path = "direct" if S._is_direct(w) else "fft"
-    for op, fft_call, direct_call in ops:
-        fft_ms = best_ms(*fft_call, repeats=repeats)
-        direct_ms = best_ms(*direct_call, repeats=repeats)
-        print(f"| {name} | {b}x{c_in}x{hw[0]}x{hw[1]} -> {c_out} | {k} | {c_in * k * k} | {op} "
-              f"| {fft_ms:.1f} | {direct_ms:.1f} | {path} |", flush=True)
-
-
-def pool_rows(name, x, repeats):
-    out, cache = O._pool_forward(x)
-    dout = np.ones_like(out)
-    fwd = best_ms(O._pool_forward, x, repeats=repeats)
-    bwd = best_ms(O._pool_backward, dout, cache, repeats=repeats)
-    shape = "x".join(map(str, x.shape))
-    print(f"| {name} | {shape} | pool | fwd {fwd:.1f} | bwd {bwd:.1f} |", flush=True)
-
-
 def block_rows(name, b, c_in, c_out, hw, k, repeats, rng):
     x = np.maximum(rng.standard_normal((b, c_in, *hw)), 0.0)
     w = rng.standard_normal((c_out, c_in, k, k)) / k
     bias = np.zeros(c_out)
-    p, cache = S._conv_block(x, w, bias, True)
-    dp = rng.standard_normal(p.shape)
     need_dx = c_in > 1  # the network never needs dX of conv1
-    fwd = best_ms(S._conv_block, x, w, bias, True, repeats=repeats)
-    bwd = best_ms(S._conv_block_backward, dp, cache, w, need_dx, repeats=repeats)
-    path = "direct" if S._is_direct(w) else "fft"
-    print(f"| {name} | {b}x{c_in}x{hw[0]}x{hw[1]} -> {c_out} | {k} | {path} | {fwd:.1f} | {bwd:.1f} |",
-          flush=True)
+    rule = "direct" if S._is_direct(w) else "fft"
+    dp = rng.standard_normal((b, c_out, (hw[0] - k + 1) // 2, (hw[1] - k + 1) // 2))
+    rule_max, cells = S.DIRECT_CONV_MAX_FAN_IN, []
+    try:
+        for max_fan_in in (0, sys.maxsize):  # FFT for every fan-in, then direct for every fan-in
+            S.DIRECT_CONV_MAX_FAN_IN = max_fan_in
+            _, cache = S._conv_block(x, w, bias, True)
+            cells.append(best_ms(S._conv_block, x, w, bias, True, repeats=repeats))
+            cells.append(best_ms(S._conv_block_backward, dp, cache, w, need_dx, repeats=repeats))
+    finally:
+        S.DIRECT_CONV_MAX_FAN_IN = rule_max
+    print(f"| {name} | {b}x{c_in}x{hw[0]}x{hw[1]} -> {c_out} | {k} | {c_in * k * k} | {rule} | "
+          + " | ".join(f"{ms:.1f}" for ms in cells) + " |", flush=True)
 
 
 def stage_rows(repeats, rng):
@@ -258,23 +234,10 @@ def main():
     print(f"# numpy {np.__version__}, nproc {os.cpu_count()}, one thread")
     cold_start_rows(args.repeats)
     print()
-    print("| net | input -> filters | k | fan-in | op | fft ms | direct ms | path |")
-    print("|---|---|---|---|---|---|---|---|")
-    pools = []
-    for name, b, (h, w), c1, c2, kernel_sizes in NETS:
-        for k in kernel_sizes:
-            h1, w1 = h - k + 1, w - k + 1
-            conv_rows(f"{name} conv1", b, 1, c1, (h, w), k, args.repeats, rng)
-            conv_rows(f"{name} conv2", b, c1, c2, (h1 // 2, w1 // 2), k, args.repeats, rng)
-            if k == kernel_sizes[0]:
-                pools.append((f"{name} pool1", np.maximum(rng.standard_normal((b, c1, h1, w1)), 0.0)))
-    for name, x in pools:
-        pool_rows(name, x, args.repeats)
-    print()
-    print("| net | input -> filters | k | path | block fwd ms | block bwd ms |")
-    print("|---|---|---|---|---|---|")
-    for name, b, (h, w), c1, c2, kernel_sizes in NETS:
-        for k in kernel_sizes:
+    print("| net | input -> filters | k | fan-in | rule | fft fwd ms | fft bwd ms | direct fwd ms | direct bwd ms |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    for name, b, (h, w), c1, c2 in NETS:
+        for k in S.fitting_kernel_sizes(S.NetConfig(conv1_filters=c1, conv2_filters=c2), (h, w)):
             h1, w1 = h - k + 1, w - k + 1
             block_rows(f"{name} block1", b, 1, c1, (h, w), k, args.repeats, rng)
             block_rows(f"{name} block2", b, c1, c2, (h1 // 2, w1 // 2), k, args.repeats, rng)

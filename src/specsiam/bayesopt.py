@@ -733,6 +733,8 @@ def optimize(
     """
     if n_init < 1:
         raise DataError("n_init must be >= 1")
+    if n_acquisitions < 0:
+        raise DataError("n_acquisitions must be >= 0")
     state = BoState(space=space, seed=seed)
     if space.n_dims == 0:
         _record(state, space, {}, _evaluate(objective, {}, state))

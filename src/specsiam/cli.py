@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -467,6 +467,9 @@ def _cmd_classify(args) -> int:
 
 # run's tuning settings when their flags are not passed.
 _RUN_TUNING = {"clf_init": 5, "clf_acq": 10, "snn_init": 5, "snn_acq": 50, "tuning_k": 5, "tuning_epochs": None}
+# The least value of each tuning flag, and the parameter that it sets.
+_TUNING_LEAST = {"clf_init": ("n_init", 1), "clf_acq": ("n_acquisitions", 0), "snn_init": ("n_init", 1),
+                 "snn_acq": ("n_acquisitions", 0), "tuning_k": ("k", 2), "tuning_epochs": ("epochs", 1)}
 _NET_TUNING = ("snn_init", "snn_acq", "tuning_epochs")
 
 
@@ -474,7 +477,8 @@ def _pipeline_config_from_args(args, name: str) -> PipelineConfig:
     """The PipelineConfig of pipeline name under loocv's or run's flags. A tuning
     flag that nothing would read is a DataError naming it: any with run --no-tune,
     a network one when no listed pipeline has a network, and loocv's --tuning-k
-    without a classifier budget. Only a network row gets a network budget."""
+    without a classifier budget; so is one below its least value. Only a network
+    row gets a network budget."""
     _, (stft, net) = _resolve_configs(args, StftConfig, NetConfig)
     route, clf_kind = evaluate.parse_pipeline(name)
     run, no_tune = args.command == "run", getattr(args, "no_tune", False)
@@ -488,6 +492,9 @@ def _pipeline_config_from_args(args, name: str) -> PipelineConfig:
         if value is not None and key in _NET_TUNING and not has_network:
             which = f"pipeline {listed[0]} has" if len(listed) == 1 else f"pipelines {', '.join(listed)} have"
             raise DataError(f"flag {flag}: {which} no network to tune")
+        parameter, least = _TUNING_LEAST[key]
+        if value is not None and value < least:
+            raise DataError(f"flag {flag}: {parameter} must be >= {least}, got {value}")
         tuning[key] = default if value is None and run else value
     clf_budget = None if no_tune else (tuning["clf_init"], tuning["clf_acq"])
     if clf_budget is not None and None in clf_budget:  # loocv tunes only with both flags
@@ -535,18 +542,25 @@ def _cmd_loocv(args) -> int:
 
 def _cmd_run(args) -> int:
     """One pipeline's artifacts under --out; with several, each pipeline's under
-    --out/<id>, as its own run would write them, and their table."""
+    --out/<id>, as its own run would write them, and their table. Rows whose
+    features agree read one feature stage, made by the first of them."""
     repeated = sorted({name for name in args.pipeline if args.pipeline.count(name) > 1})
     if repeated:
         raise DataError(f"flag --pipeline: {', '.join(repeated)} listed more than once")
     out = _out_dir(args)
     dataset = load_dataset(args.manifest)
     configs = [_pipeline_config_from_args(args, name) for name in args.pipeline]  # before any row runs
-    reports = []
+    reports, stages = [], {}  # (route, config less clf_params) -> (the row that made it, feature stage)
     for name, config in zip(args.pipeline, configs):
         row_out = out if len(args.pipeline) == 1 else out / name
-        _log(f"run: {name} (mode={config.mode}, tuning={'off' if args.no_tune else 'on'})")
-        report, artifacts = evaluate.run_pipeline(name, dataset, config, seed=args.seed, out_dir=row_out)
+        row_out.mkdir(exist_ok=True)
+        key = (evaluate.parse_pipeline(name)[0], replace(config, clf_params=None))
+        reads = f", features of {stages[key][0]}" if key in stages else ""
+        _log(f"run: {name} (mode={config.mode}, tuning={'off' if args.no_tune else 'on'}{reads})")
+        if key not in stages:
+            stages[key] = name, evaluate.feature_stage(dataset, name, config, args.seed,
+                                                       row_out / "snn_bo_trace.csv", whole=True)
+        report, artifacts = evaluate.run_stage(name, dataset, config, args.seed, row_out, stages[key][1])
         pipeline_cfg = json.loads((row_out / "pipeline_config.json").read_text(encoding="utf-8"))
         _write_run_manifest(
             row_out,

@@ -35,6 +35,7 @@ from .siamese import (
     KERNEL_SIZES,
     OUTPUT_DIMS,
     NetConfig,
+    SiameseModel,
     extract_features,
     fitting_kernel_sizes,
     init_model,
@@ -53,6 +54,8 @@ __all__ = [
     "parse_pipeline",
     "fft_feature_table",
     "train_network",
+    "FeatureStage",
+    "feature_stage",
     "loocv",
     "classifier_folds",
     "kfold_classifier_objective",
@@ -63,6 +66,7 @@ __all__ = [
     "require_a_success",
     "compute_metrics",
     "run_pipeline",
+    "run_stage",
     "pipeline_config_to_dict",
     "write_json",
     "write_run_artifacts",
@@ -418,7 +422,7 @@ def tune_snn(
     """
     subjects = sorted(dataset.subject_ids)
     tune_ds = dataset_subset(dataset, subjects[1:])
-    epochs = config.tuning_epochs or config.net.epochs
+    epochs = config.net.epochs if config.tuning_epochs is None else config.tuning_epochs
     base_net = replace(config.net, epochs=epochs)
     first = dataset.recordings[0]
     shape = dstft(first.samples[0], first.sample_rate_hz, config.stft).magnitudes.shape
@@ -477,12 +481,28 @@ def tune_classifier(
 
 
 # ---------------------------------------------------------------------------
-# LOOCV
+# the feature stage and the classifier stage
 
-def loocv(dataset: Dataset, name: str, config: PipelineConfig | None = None, seed: int = 0) -> MetricsReport:
-    """Leave-one-subject-out evaluation of a pipeline with fixed stage settings."""
-    report, _ = _loocv_impl(dataset, name, config or PipelineConfig(), seed, deliverable=False)
-    return report
+@dataclass(frozen=True)
+class FeatureStage:
+    """What a route's classifiers read (feature_stage): the config with its tuned
+    stft and net, the tuning state, each held-out subject's fold table, and the
+    network trained on every subject with its loss trace and table, if trained."""
+
+    config: PipelineConfig
+    bo_state: BoState | None
+    fold_tables: dict[str, LabeledFeatures]  # by held-out subject
+    model: SiameseModel | None = None
+    loss_trace: list | None = None
+    table: LabeledFeatures | None = None
+
+
+def _pool_map(jobs: int, fn, items) -> list:
+    """fn of each item in order, on jobs threads when jobs > 1."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _network_table(dataset: Dataset, train_ids, config: PipelineConfig, seed: int, images):
@@ -494,50 +514,61 @@ def _network_table(dataset: Dataset, train_ids, config: PipelineConfig, seed: in
     return model, trace, pairs, extract_features(model, dataset, images)
 
 
-def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int, deliverable: bool):
-    """LOOCV plus the deliverable (model, loss trace, feature table). The network
-    on every subject is trained when the folds share it (paper mode) or when
-    deliverable is set, else an SNN route gives Nones; FFT gives no model."""
-    route, clf_kind = parse_pipeline(name)
+def feature_stage(dataset: Dataset, name: str, config: PipelineConfig, seed: int,
+                  trace_path: str | Path | None = None, whole: bool = False) -> FeatureStage:
+    """The features of pipeline name's route on a LOOCV cohort: the FFT table,
+    or the network's. The network is tuned first when config has a budget,
+    with the trace written to trace_path when given. The network on every
+    subject is trained when the folds share it (paper mode) or when whole is
+    set; strict mode trains one per held-out subject on the others alone."""
+    route, _ = parse_pipeline(name)
     if dataset.n_subjects < 2:
         raise DataError("LOOCV needs at least 2 subjects")
-    labels = dataset.labels()
-    present = {lab for lab in labels.values()}
-    if len(present) < 2:
+    if len(set(dataset.labels().values())) < 2:
         raise DataError("LOOCV needs both classes present")
-
     subjects = sorted(dataset.subject_ids)
-    strict = config.mode == "strict" and route == "snn"
-    model = trace = images = table = None
     if route == "fft":
         table = fft_feature_table(dataset, config.max_freq_hz)
-    else:
-        images = compute_images(dataset, config.stft)
-        if not strict or deliverable:
-            model, trace, _, table = _network_table(dataset, subjects, config, seed, images)
+        return FeatureStage(config, None, dict.fromkeys(subjects, table), table=table)
+    state = None
+    if config.snn_budget is not None:
+        stft, net, state = tune_snn(dataset, config, *config.snn_budget, seed=seed, trace_path=trace_path)
+        config = replace(config, stft=stft, net=net)
+    images = compute_images(dataset, config.stft)
+    model = trace = table = None
+    if config.mode == "paper" or whole:
+        model, trace, _, table = _network_table(dataset, subjects, config, seed, images)
+    fold_tables = dict.fromkeys(subjects, table)
+    if config.mode == "strict":
+        def fold_table(fold_index: int) -> LabeledFeatures:
+            held, fold_seed = subjects[fold_index], _derive_seed(seed, 1000 + fold_index)
+            _, _, pairs, fold = _network_table(dataset, [s for s in subjects if s != held], config, fold_seed, images)
+            audit_no_leakage(held, pairs, None)
+            return fold
+
+        fold_tables = dict(zip(subjects, _pool_map(config.jobs, fold_table, range(len(subjects)))))
+    return FeatureStage(config, state, fold_tables, model, trace, table)
+
+
+def _classifier_stage(dataset: Dataset, name: str, config: PipelineConfig, seed: int,
+                      stage: FeatureStage) -> MetricsReport:
+    """LOOCV of pipeline name's classifier: each fold fits it, tuned when
+    config has a classifier budget, on the other subjects' rows of the table
+    that stage gives the fold, and predicts the held-out subject's rows."""
+    _, clf_kind = parse_pipeline(name)
+    labels = dataset.labels()
+    subjects = sorted(stage.fold_tables)
 
     def run_fold(fold_index: int) -> FoldResult:
         held = subjects[fold_index]
-        train_ids = [s for s in subjects if s != held]
         fold_seed = _derive_seed(seed, 1000 + fold_index)
-        if strict:
-            _, _, pairs, fold_table = _network_table(dataset, train_ids, config, fold_seed, images)
-            audit_no_leakage(held, pairs, None)
-        else:
-            fold_table = table
-        train_table = fold_table.subset(train_ids)
-        test_table = fold_table.subset([held])
+        train_table = stage.fold_tables[held].subset([s for s in subjects if s != held])
+        test_table = stage.fold_tables[held].subset([held])
         audit_no_leakage(held, (), train_table)
         warnings = []
         if config.clf_budget is not None:
-            spec, state = tune_classifier(
-                train_table,
-                clf_kind,
-                n_init=config.clf_budget[0],
-                n_acquisitions=config.clf_budget[1],
-                seed=fold_seed,
-                k=config.tuning_k,
-            )
+            spec, state = tune_classifier(train_table, clf_kind, *config.clf_budget, seed=fold_seed,
+                                          k=config.tuning_k)
             if len(state.failures) == len(state.values):  # the best of all-zero scores is no choice
                 spec = default_spec(clf_kind)
                 warnings.append(f"fold {held}: classifier tuning: all {len(state.values)} evaluations failed, "
@@ -553,59 +584,48 @@ def _loocv_impl(dataset: Dataset, name: str, config: PipelineConfig, seed: int, 
         preds = fitted.predict(test_table.x)
         return _fold_result(held, labels[held], preds, spec.params), warnings
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_fold, range(len(subjects))))
-    else:
-        results = [run_fold(i) for i in range(len(subjects))]
+    results = _pool_map(config.jobs, run_fold, range(len(subjects)))
     report = compute_metrics([fold for fold, _ in results], pipeline_id=name)
     report.warnings.extend(warning for _, warnings in results for warning in warnings)
-    return report, (model, trace, table)
+    return report
 
 
-def run_pipeline(
-    name: str,
-    dataset: Dataset,
-    config: PipelineConfig | None = None,
-    seed: int = 0,
-    out_dir: str | Path | None = None,
-) -> tuple[MetricsReport, dict]:
-    """Optional tuning, then training, extraction and LOOCV; persists artifacts.
-
-    Returns the metrics report plus a dict of artifact paths (empty when
-    out_dir is None).
-    """
+def loocv(dataset: Dataset, name: str, config: PipelineConfig | None = None, seed: int = 0) -> MetricsReport:
+    """Leave-one-subject-out evaluation of a pipeline with fixed stage settings."""
     config = config or PipelineConfig()
-    route, _ = parse_pipeline(name)
-    artifacts: dict[str, str] = {}
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    return _classifier_stage(dataset, name, config, seed, feature_stage(dataset, name, config, seed))
 
-    if route == "snn" and config.snn_budget is not None:
-        trace_path = out / "snn_bo_trace.csv" if out is not None else None
-        stft, net, _ = tune_snn(
-            dataset, config, n_init=config.snn_budget[0], n_acquisitions=config.snn_budget[1], seed=seed,
-            trace_path=trace_path,
-        )
-        config = replace(config, stft=stft, net=net)
-        if trace_path is not None:
-            artifacts["snn_bo_trace"] = str(trace_path)
 
-    report, (model, trace, table) = _loocv_impl(dataset, name, config, seed, deliverable=out is not None)
+def run_pipeline(name: str, dataset: Dataset, config: PipelineConfig, seed: int,
+                 out_dir: str | Path) -> tuple[MetricsReport, dict]:
+    """Optional tuning, then training, extraction and LOOCV of one pipeline,
+    with its artifacts under out_dir (run_stage)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    stage = feature_stage(dataset, name, config, seed, out / "snn_bo_trace.csv", whole=True)
+    return run_stage(name, dataset, config, seed, out, stage)
 
-    if out is not None:
-        if model is not None:
-            ckpt = out / "model_checkpoint.json"
-            save_checkpoint(model, config.stft, ckpt)
-            artifacts["checkpoint"] = str(ckpt)
-        feat_path = out / "features.csv"
-        table.to_csv(feat_path)
-        artifacts["features"] = str(feat_path)
-        artifacts.update(write_run_artifacts(out, report, trace))
-        resolved = out / "pipeline_config.json"
-        write_json(resolved, pipeline_config_to_dict(name, config, seed))
-        artifacts["pipeline_config"] = str(resolved)
+
+def run_stage(name: str, dataset: Dataset, config: PipelineConfig, seed: int, out_dir: str | Path,
+              stage: FeatureStage) -> tuple[MetricsReport, dict]:
+    """LOOCV of pipeline name over stage, its route's feature stage under config
+    made with whole set, and every artifact of the run under out_dir: the tuning
+    trace, the network checkpoint, the features, the reports, the loss trace
+    and the resolved config. Returns the report and each artifact's path by key."""
+    config = replace(config, stft=stage.config.stft, net=stage.config.net)
+    report = _classifier_stage(dataset, name, config, seed, stage)
+    out = Path(out_dir)
+    paths = {"features": out / "features.csv", "pipeline_config": out / "pipeline_config.json"}
+    if stage.bo_state is not None:
+        paths["snn_bo_trace"] = out / "snn_bo_trace.csv"
+        write_trace_csv(stage.bo_state, paths["snn_bo_trace"])
+    if stage.model is not None:
+        paths["checkpoint"] = out / "model_checkpoint.json"
+        save_checkpoint(stage.model, config.stft, paths["checkpoint"])
+    stage.table.to_csv(paths["features"])
+    write_json(paths["pipeline_config"], pipeline_config_to_dict(name, config, seed))
+    artifacts = {key: str(path) for key, path in paths.items()}
+    artifacts.update(write_run_artifacts(out, report, stage.loss_trace))
     return report, artifacts
 
 

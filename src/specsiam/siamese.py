@@ -232,8 +232,8 @@ def _param_shapes(config: NetConfig, plan: _ShapePlan) -> dict[str, tuple[int, .
 
 # Valid cross-correlation has two implementations, and each layer takes the one
 # that is faster for its own shape: direct when its fan-in C_in * k * k is at
-# most DIRECT_CONV_MAX_FAN_IN, FFT above. Measured on one thread (forward, dW,
-# dX; scripts/bench_layers.py prints the table): on 129x59 images, 96 per
+# most DIRECT_CONV_MAX_FAN_IN, FFT above. Measured per layer on one thread
+# (forward, dW, dX of the tests/oracles.py forms): on 129x59 images, 96 per
 # batch, filters 8/16, direct is 3-10x faster for conv1 at k=3 and k=5
 # (fan-in 9, 25) and 1.5-3.5x for conv2 at k=3 (72), while FFT is faster for
 # conv2 at k=5 (200) by 10-20% over the three ops and for conv2 at k=12

@@ -837,6 +837,15 @@ class TestProposeAndOptimize:
         with pytest.raises(TypeError):
             optimize(objective, SearchSpace((Continuous("x", 0.0, 1.0),)), n_init=3, n_acquisitions=2, seed=0)
 
+    @pytest.mark.parametrize("n_init, n_acquisitions, message",
+                             [(0, 2, "n_init must be >= 1"), (3, -1, "n_acquisitions must be >= 0")])
+    def test_a_budget_that_cannot_run_is_a_data_error(self, n_init, n_acquisitions, message):
+        calls = []
+        with pytest.raises(DataError, match=message):
+            optimize(calls.append, SearchSpace((Continuous("x", 0.0, 1.0),)), n_init=n_init,
+                     n_acquisitions=n_acquisitions, seed=0)
+        assert not calls
+
     def test_zero_dim_space_single_evaluation(self):
         best, state = optimize(lambda cfg: 0.4, SearchSpace(()), n_init=5, n_acquisitions=50, seed=0)
         assert best == {}

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specsiam import evaluate
 from specsiam.cli import build_parser, main
 from specsiam.classify import ClassifierKind, LabeledFeatures, classifier_search_space
 from specsiam.siamese import NetConfig, init_model, save_checkpoint
@@ -295,45 +297,58 @@ class TestLoocvAndRun:
 
 
 class TestMultiPipelineRun:
-    IDS = ("FFT-kNN", "DSTFT-SNN-NB")
+    IDS = ("FFT-kNN", "DSTFT-SNN-NB", "DSTFT-SNN-kNN")
     NET_TUNING = ["--snn-init", "2", "--snn-acq", "1", "--tuning-epochs", "1"]
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
-        """(root, stdout) of one run over both ids into root/table and one single-id run per id
-        into root/<id> with the same flags, less the network ones where the id has no network."""
+        """(root, stdout, stderr, calls) of one run over every id into root/table, with
+        calls listing its network tunings and trainings (count_calls), and one
+        single-id run per id into root/<id> with the same flags, less the
+        network ones where the id has no network."""
         root = tmp_path_factory.mktemp("multi")
         assert main(["synth", "--cases", "4", "--controls", "4", "--channels", "2", "--duration-s", "10",
                      "--rate", "64", "--noise-sigma", "0.2", "--seed", "7", "--out", str(root / "cohort")]) == 0
         flags = ["--manifest", str(root / "cohort" / "manifest.json"), "--seed", "4", "--clf-init", "1",
                  "--clf-acq", "1", "--tuning-k", "2", *TestTrainExtractClassify().net_flags()]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            calls = count_calls(patch)
             code = main(["run", "--pipeline", *self.IDS, *flags, *self.NET_TUNING, "--out", str(root / "table")])
         assert code == 0
         for name in self.IDS:
             net_tuning = self.NET_TUNING if name.startswith("DSTFT") else []
             assert main(["run", "--pipeline", name, *flags, *net_tuning, "--out", str(root / name)]) == 0
-        return root, stdout.getvalue()
+        return root, stdout.getvalue(), stderr.getvalue(), calls
 
     def test_each_row_directory_equals_its_own_run(self, runs):
-        root, _ = runs
+        root = runs[0]
         assert sorted(p.name for p in (root / "table").iterdir()) == sorted([*self.IDS, "table.txt"])
         for name in self.IDS:
             row = {p.name: p.read_bytes() for p in (root / "table" / name).iterdir()}
             assert "run_manifest.json" in row and ("snn_bo_trace.csv" in row) == name.startswith("DSTFT")
             assert row == {p.name: p.read_bytes() for p in (root / name).iterdir()}
 
+    def test_the_network_is_tuned_and_trained_once_for_every_row(self, runs):
+        calls = runs[3]
+        assert (calls.count("tune_snn"), calls.count("all-subject train")) == (1, 1)
+
+    def test_a_row_that_reads_another_rows_features_says_so(self, runs):
+        lines = [line for line in runs[2].splitlines() if line.startswith("run: ") and "(" in line]
+        assert lines == ["run: FFT-kNN (mode=paper, tuning=on)", "run: DSTFT-SNN-NB (mode=paper, tuning=on)",
+                         "run: DSTFT-SNN-kNN (mode=paper, tuning=on, features of DSTFT-SNN-NB)"]
+
     def test_table_is_the_report_table_of_the_rows(self, runs, capsys):
-        root, stdout = runs
+        root, stdout = runs[:2]
         capsys.readouterr()
         assert main(["report", *(str(root / "table" / name / "report.json") for name in self.IDS)]) == 0
         table = capsys.readouterr().out
-        assert table.splitlines()[1].startswith("FFT-kNN") and table.splitlines()[2].startswith("DSTFT-SNN-NB")
+        assert [line.split()[0] for line in table.splitlines()[1:]] == list(self.IDS)
         assert (root / "table" / "table.txt").read_text(encoding="utf-8") == table == stdout
 
     def test_network_flags_reach_only_the_network_rows(self, runs):
-        root, _ = runs
+        root = runs[0]
         budgets = {name: json.loads((root / "table" / name / "pipeline_config.json").read_text())
                    for name in self.IDS}
         assert (budgets["FFT-kNN"]["snn_budget"], budgets["FFT-kNN"]["tuning_epochs"]) == (None, None)
@@ -347,9 +362,46 @@ class TestMultiPipelineRun:
         assert "flag --knn-k: the classifier is svm, not knn" in err
         assert list(out.iterdir()) == []
 
+    def test_a_strict_run_trains_the_fold_networks_once_per_route(self, synth_dir, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch)
+        argv = ["run", "--manifest", manifest_of(synth_dir), "--pipeline", "FFT-kNN", "DSTFT-SNN-kNN",
+                "DSTFT-SNN-NB", "--mode", "strict", "--no-tune", "--seed", "2",
+                *TestTrainExtractClassify().net_flags()]
+        for jobs in ("1", "2"):
+            assert main([*argv, "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert Counter(calls) == {"all-subject train": 2, "train": 2 * 8}  # per --jobs, one route of 8 folds
+
+        def files(root):  # every artifact but the two that record --jobs
+            return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                    if p.is_file() and p.name not in ("pipeline_config.json", "run_manifest.json")}
+
+        # 3 rows of report.json, report.txt, folds.csv and features.csv, 2 networks, table.txt
+        assert len(files(tmp_path / "1")) == 3 * 4 + 2 * 2 + 1 and files(tmp_path / "1") == files(tmp_path / "2")
+
     def test_loocv_takes_one_pipeline(self, synth_dir, tmp_path):
         assert main(["loocv", "--manifest", manifest_of(synth_dir), "--pipeline", "FFT-kNN", "FFT-SVM",
                      "--out", str(tmp_path)]) == 1
+
+
+def count_calls(patch) -> list:
+    """A list that grows, by patch, by "tune_snn" at each evaluate.tune_snn call
+    and at each evaluate.train call by "all-subject train" when its pairs hold
+    every subject of the cohort, else by "train"."""
+    calls = []
+    tune_snn, train = evaluate.tune_snn, evaluate.train
+
+    def counted_tune_snn(*args, **kwargs):
+        calls.append("tune_snn")
+        return tune_snn(*args, **kwargs)
+
+    def counted_train(model, pairs, images):
+        subjects = {sid for pair in pairs for sid in (pair.subject_a, pair.subject_b)}
+        calls.append("all-subject train" if subjects == {sid for sid, _ in images} else "train")
+        return train(model, pairs, images)
+
+    patch.setattr(evaluate, "tune_snn", counted_tune_snn)
+    patch.setattr(evaluate, "train", counted_train)
+    return calls
 
 
 class TestOutputRoot:
@@ -522,6 +574,27 @@ class TestClassifierFlags:
         code, err = run_main([*argv, "--manifest", manifest_of(synth_dir), "--out", str(out)])
         assert code == 2 and message in err and "Traceback" not in err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--clf-init", "0", "n_init must be >= 1, got 0"), ("--clf-acq", "-2", "n_acquisitions must be >= 0, got -2"),
+         ("--snn-init", "0", "n_init must be >= 1, got 0"), ("--snn-acq", "-1", "n_acquisitions must be >= 0, got -1"),
+         ("--tuning-k", "1", "k must be >= 2, got 1"), ("--tuning-epochs", "0", "epochs must be >= 1, got 0")],
+    )
+    def test_a_tuning_flag_below_its_least_value_exits_2_before_any_row_runs(self, synth_dir, tmp_path, flag,
+                                                                            value, message):
+        out = tmp_path / "out"
+        code, err = run_main(["run", "--manifest", manifest_of(synth_dir), "--pipeline", "FFT-kNN", "DSTFT-SNN-kNN",
+                              flag, value, "--out", str(out)])
+        assert code == 2 and f"flag {flag}: {message}" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    def test_tune_clf_with_a_negative_budget_exits_2(self, synth_dir, tmp_path):
+        table = tmp_path / "features.csv"
+        assert main(["extract", "--manifest", manifest_of(synth_dir), "--fft", "--out", str(tmp_path)]) == 0
+        code, err = run_main(["tune-clf", "--features", str(table), "--model", "knn", "--budget", "-2",
+                              "--out", str(tmp_path / "out")])
+        assert code == 2 and "n_acquisitions must be >= 0" in err and "Traceback" not in err
 
     def test_run_fills_the_budgets_that_are_not_passed(self, synth_dir, tmp_path):
         out = tmp_path / "out"

@@ -390,6 +390,14 @@ class TestTuning:
         assert len(state.values) == 3
         assert net.epochs == config.net.epochs  # tuning epochs do not leak into the final config
 
+    def test_zero_tuning_epochs_is_a_data_error_not_the_full_epochs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(evaluate, "kfold_snn_objective", lambda *args, **kwargs: calls.append(1) or 0.5)
+        with pytest.raises(DataError, match="epochs must be >= 1"):
+            tune_snn(micro_cohort(3, 3), micro_config(tuning_k=2, tuning_epochs=0), n_init=2, n_acquisitions=1,
+                     seed=0)
+        assert not calls
+
     def test_search_space_keeps_kernel_sizes_that_fit_the_10s_cohort(self):
         # a 10-s cohort at 64 Hz with 2-s windows and 1-s hops gives 65x9 images
         images = compute_images(micro_cohort(1, 1), micro_config().stft)
@@ -464,29 +472,26 @@ class TestRunPipeline:
         table = LabeledFeatures.from_csv(tmp_path / "features.csv")
         assert table.n_rows == ds.n_subjects * ds.n_channels
 
-    def test_invalid_pipeline_rejected(self):
+    def test_invalid_pipeline_rejected(self, tmp_path):
         ds = micro_cohort(2, 2, duration_s=6.0)
         with pytest.raises(DataError):
-            run_pipeline("FFT-LDA", ds, micro_config(), seed=0)
+            run_pipeline("FFT-LDA", ds, micro_config(), seed=0, out_dir=tmp_path)
 
     @pytest.mark.parametrize(
-        "mode, out, trainings",
+        "mode, run, trainings",
         [("strict", False, 4), ("strict", True, 5), ("paper", False, 1), ("paper", True, 1)],
-        ids=["strict", "strict-deliverable", "paper", "paper-deliverable"],
+        ids=["strict-loocv", "strict-run", "paper-loocv", "paper-run"],
     )
-    def test_the_deliverable_network_is_trained_only_for_artifacts(self, tmp_path, train_calls,
-                                                                   mode, out, trainings):
+    def test_the_all_subject_network_is_trained_only_when_read(self, tmp_path, train_calls, mode, run, trainings):
         # strict folds train one network each; the all-subject one is trained
-        # when the folds share it or when out_dir asks for its checkpoint
+        # when the folds share it or when a run writes its checkpoint
         ds = micro_cohort(2, 2, duration_s=6.0)
-        run_pipeline("DSTFT-SNN-kNN", ds, micro_config(mode=mode), seed=1,
-                     out_dir=tmp_path if out else None)
+        if run:
+            run_pipeline("DSTFT-SNN-kNN", ds, micro_config(mode=mode), seed=1, out_dir=tmp_path)
+        else:
+            loocv(ds, "DSTFT-SNN-kNN", micro_config(mode=mode), seed=1)
         assert len(train_calls) == trainings
-        assert (tmp_path / "model_checkpoint.json").is_file() == out
-
-    def test_strict_loocv_trains_one_network_per_fold(self, train_calls):
-        loocv(micro_cohort(2, 2, duration_s=6.0), "DSTFT-SNN-kNN", micro_config(mode="strict"), seed=1)
-        assert len(train_calls) == 4
+        assert (tmp_path / "model_checkpoint.json").is_file() == run
 
 
 @pytest.fixture()
